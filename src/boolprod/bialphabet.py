@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .errors import AsymmetryError, CapacityError, ConsistencyError
-from .polyring import Alphabet, MonomialPoly, alphabet_product
-from .schur import MVector, m_to_schur
+from .errors import CapacityError, ConsistencyError
+from .polyring import Alphabet, alphabet_product
+from .schur import MVector, block_mterms, m_to_schur
 from .tableaux import Partition, conjugate, subpartitions
 
 PJK_FORM_CAP = 30
@@ -43,35 +43,6 @@ class BiSchurVector:
         return all(c >= 0 for c in self.terms.values())
 
 
-def _strip(exps: tuple[int, ...]) -> Partition:
-    return tuple(e for e in exps if e)
-
-
-def _double_m(poly: MonomialPoly, n: int, m: int) -> dict[PartitionPair, int]:
-    """Read off coefficients on pairs of weakly decreasing exponent blocks.
-
-    Every monomial is compared against its block-sorted representative first,
-    so asymmetry in either block is caught and attributed before extraction.
-    """
-    for exp, c in poly.terms.items():
-        alpha, beta = exp[:n], exp[n:]
-        ca = tuple(sorted(alpha, reverse=True))
-        cb = tuple(sorted(beta, reverse=True))
-        half = ca + beta
-        if poly.coefficient(half) != c:
-            raise AsymmetryError(exp, half, block="x")
-        if poly.coefficient(ca + cb) != poly.coefficient(half):
-            raise AsymmetryError(half, ca + cb, block="y")
-    out = {}
-    for exp, c in poly.terms.items():
-        alpha, beta = exp[:n], exp[n:]
-        if all(alpha[i] >= alpha[i + 1] for i in range(n - 1)) and all(
-            beta[i] >= beta[i + 1] for i in range(m - 1)
-        ):
-            out[(_strip(alpha), _strip(beta))] = c
-    return out
-
-
 def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
     """Expand the product of all X_S + Y_T with |S| = j, |T| = k.
 
@@ -91,17 +62,11 @@ def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
         raise CapacityError(
             f"product of {form_count} forms exceeds the cap of {PJK_FORM_CAP}"
         )
-    forms = []
-    for s in combinations(range(n), j):
-        for t in combinations(range(m), k):
-            coeffs = [0] * (n + m)
-            for i in s:
-                coeffs[i] = 1
-            for i in t:
-                coeffs[n + i] = 1
-            forms.append(tuple(coeffs))
-    product = alphabet_product(Alphabet(n + m, tuple(forms)))
-    doubled = _double_m(product, n, m)
+    y_subsets = [tuple(n + i for i in t) for t in combinations(range(m), k)]
+    alphabet = Alphabet.from_subsets(
+        n + m, (s + t for s in combinations(range(n), j) for t in y_subsets)
+    )
+    doubled = block_mterms(alphabet_product(alphabet), [(n, "x"), (m, "y")])
 
     by_beta: dict[Partition, dict[Partition, int]] = {}
     for (alpha, beta), c in doubled.items():
@@ -135,5 +100,5 @@ def dual_cauchy_reference(n: int, m: int) -> BiSchurVector:
     for la in subpartitions((m,) * n):
         padded = la + (0,) * (n - len(la))
         complement = tuple(m - padded[n - 1 - i] for i in range(n))
-        terms[(la, conjugate(_strip(complement)))] = 1
+        terms[(la, conjugate(tuple(e for e in complement if e)))] = 1
     return BiSchurVector(n, m, terms)

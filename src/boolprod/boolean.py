@@ -21,13 +21,7 @@ def subset_alphabet(n: int, k: int) -> Alphabet:
     """Alphabet of the C(n,k) subset-sum forms, subsets in lexicographic order."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    forms = []
-    for subset in combinations(range(n), k):
-        coeffs = [0] * n
-        for i in subset:
-            coeffs[i] = 1
-        forms.append(tuple(coeffs))
-    return Alphabet(n, tuple(forms))
+    return Alphabet.from_subsets(n, combinations(range(n), k))
 
 
 @lru_cache(maxsize=None)

@@ -9,21 +9,19 @@ identical across runs).  Exit codes: 0 success, 2 usage, 3 capacity ceiling,
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import __version__
 from .bialphabet import BiSchurVector, dual_cauchy_reference, pjk_expand
 from .boolean import boolean_product, ep_subset, subset_alphabet, total_boolean
-from .derangements import QPoly, bnm1_q, frobenius_dimension, specialize_q
+from .derangements import bnm1_q, frobenius_dimension, specialize_q
 from .errors import CapacityError, ConsistencyError
 from .lascoux import binomial_det, gv_count, lascoux_check
+from .polyring import QPoly
 from .resonance import charpoly_ff, charpoly_mobius
 from .schur import SchurVector, schur_at_alphabet
 from .tableaux import format_partition, parse_partition
-
-THREADS_VAR = "BOOLPROD_THREADS"
 
 
 def partition(text: str):
@@ -242,16 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads_var() -> None:
-    """All reductions run in a fixed order, so the thread count never changes
-    output; the variable is still validated to catch configuration typos."""
-    raw = os.environ.get(THREADS_VAR)
-    if raw is None:
-        return
-    if not raw.isdigit() or int(raw) < 1:
-        raise ValueError(f"{THREADS_VAR} must be a positive integer, got {raw!r}")
-
-
 def _params_of(args) -> dict:
     skip = {"command", "func", "format", "timing"}
     rename = {"la": "lambda"}
@@ -265,7 +253,6 @@ def _params_of(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        _check_threads_var()
         args = parser.parse_args(argv)
         start = time.perf_counter()
         result, lines = args.func(args)

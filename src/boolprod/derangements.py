@@ -8,84 +8,14 @@ and frobenius_dimension turns any such vector into the dimension of the
 corresponding direct sum of irreducibles.
 """
 
-from dataclasses import dataclass
-
 from .boolean import subset_alphabet
-from .errors import CapacityError
-from .polyring import MonomialPoly, graded_elementary, poly_product
+from .errors import CapacityError, ConsistencyError
+from .polyring import MonomialPoly, QPoly, graded_elementary, poly_product
 from .schur import SchurVector, schur_from_poly
 from .tableaux import num_syt, partitions_up_to, smallest_ascent, syt_list
 
 BNM1_MAX_N = 7
 SYT_COEFF_MAX_N = 8
-
-
-@dataclass(frozen=True)
-class QPoly:
-    """Univariate integer polynomial in q; coeffs[i] is the q^i coefficient."""
-
-    coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        trimmed = self.coeffs
-        while trimmed and trimmed[-1] == 0:
-            trimmed = trimmed[:-1]
-        object.__setattr__(self, "coeffs", trimmed)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = QPoly((other,))
-        size = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(
-            tuple(
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(size)
-            )
-        )
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPoly(tuple(c * other for c in self.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __call__(self, q0: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            power = "" if j == 0 else ("q" if j == 1 else f"q^{j}")
-            if power and abs(c) == 1:
-                body = power
-            elif power:
-                body = f"{abs(c)}{power}"
-            else:
-                body = str(abs(c))
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def _layer_vectors(n: int) -> list[SchurVector]:
@@ -102,7 +32,7 @@ def bnm1_q(n: int) -> SchurVector:
     """Schur expansion of sum_j q^j e_j(X) (e_1(X))^(n-j), coefficients QPoly.
 
     All q-coefficients are nonnegative (each layer is a Pieri product of
-    Schur-positive factors); asserted on the way out.
+    Schur-positive factors); a negative one is a hard failure.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -114,7 +44,11 @@ def bnm1_q(n: int) -> SchurVector:
     for la in keys:
         terms[la] = QPoly(tuple(layers[j].terms.get(la, 0) for j in range(n + 1)))
     out = SchurVector(n, terms)
-    assert all(c >= 0 for poly in out.terms.values() for c in poly.coeffs)
+    bad = [la for la, poly in out.terms.items() if any(c < 0 for c in poly.coeffs)]
+    if bad:
+        raise ConsistencyError(
+            f"negative q-coefficient at {min(bad)} in the n={n} expansion"
+        )
     return out
 
 

@@ -127,13 +127,7 @@ def _pair_alphabet(n: int, kind: str) -> Alphabet:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         raise ValueError(f"kind must be 'exterior' or 'symmetric', got {kind!r}")
-    forms = []
-    for i, j in pairs:
-        coeffs = [0] * n
-        coeffs[i] += 1
-        coeffs[j] += 1
-        forms.append(tuple(coeffs))
-    return Alphabet(n, tuple(forms))
+    return Alphabet.from_subsets(n, pairs)
 
 
 @dataclass

@@ -1,11 +1,14 @@
-"""Exact sparse multivariate polynomial arithmetic over a fixed variable count.
+"""Exact integer polynomial arithmetic: sparse multivariate and dense univariate.
 
-Coefficients are Python ints (arbitrary precision); exponent vectors are
-tuples of length ``var_count``.  Zero coefficients are purged on every write.
+Sparse coefficients are Python ints (arbitrary precision); exponent vectors
+are tuples of length ``var_count``.  Zero coefficients are purged by the
+constructor, so intermediate term dicts may hold zeros until wrapped.
 Products of many factors go through a balanced binary tree to keep
 intermediate supports small; the result is independent of association order.
+``QPoly`` is the dense univariate type, trimmed of trailing zeros.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import add
 
@@ -31,19 +34,30 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.forms)
 
+    @classmethod
+    def from_subsets(
+        cls, var_count: int, index_tuples: Iterable[tuple[int, ...]]
+    ) -> "Alphabet":
+        """One form per index tuple: the sum of x_i over its indices, counted
+        with multiplicity, so (i, i) gives 2*x_i."""
+        forms = []
+        for indices in index_tuples:
+            coeffs = [0] * var_count
+            for i in indices:
+                coeffs[i] += 1
+            forms.append(tuple(coeffs))
+        return cls(var_count, tuple(forms))
+
 
 def _mul_into(dest: dict, a: dict, b: dict) -> None:
-    """dest += a*b at the raw term-dict level."""
+    """dest += a*b at the raw term-dict level; zeros are left for the caller's
+    constructor to purge."""
     if len(a) > len(b):
         a, b = b, a
     for ea, ca in a.items():
         for eb, cb in b.items():
             key = tuple(map(add, ea, eb))
-            c = dest.get(key, 0) + ca * cb
-            if c:
-                dest[key] = c
-            elif key in dest:
-                del dest[key]
+            dest[key] = dest.get(key, 0) + ca * cb
 
 
 class MonomialPoly:
@@ -79,11 +93,7 @@ class MonomialPoly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
+            terms[e] = terms.get(e, 0) + c
         return MonomialPoly(self.var_count, terms)
 
     def __mul__(self, other: "MonomialPoly") -> "MonomialPoly":
@@ -211,3 +221,77 @@ def elementary_of_alphabet(p: int, a: Alphabet) -> MonomialPoly:
     if p > len(a.forms):
         return MonomialPoly(a.var_count)
     return graded_elementary(a, cap=p)[p]
+
+
+@dataclass(frozen=True)
+class QPoly:
+    """Dense univariate integer polynomial; coeffs[i] is the coefficient of
+    VAR^i.  Printed in the variable VAR, highest power first if DESCENDING."""
+
+    coeffs: tuple[int, ...] = ()
+
+    VAR = "q"
+    DESCENDING = False
+
+    def __post_init__(self):
+        trimmed = self.coeffs
+        while trimmed and trimmed[-1] == 0:
+            trimmed = trimmed[:-1]
+        object.__setattr__(self, "coeffs", trimmed)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def degree(self) -> int:
+        return len(self.coeffs) - 1 if self.coeffs else -1
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = QPoly((other,))
+        size = max(len(self.coeffs), len(other.coeffs))
+        return QPoly(
+            tuple(
+                (self.coeffs[i] if i < len(self.coeffs) else 0)
+                + (other.coeffs[i] if i < len(other.coeffs) else 0)
+                for i in range(size)
+            )
+        )
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return QPoly(tuple(c * other for c in self.coeffs))
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return QPoly(tuple(out))
+
+    __rmul__ = __mul__
+
+    def __call__(self, x0: int) -> int:
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x0 + c
+        return acc
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        powers = range(len(self.coeffs))
+        parts = []
+        for j in reversed(powers) if self.DESCENDING else powers:
+            c = self.coeffs[j]
+            if c == 0:
+                continue
+            power = "" if j == 0 else (self.VAR if j == 1 else f"{self.VAR}^{j}")
+            if power and abs(c) == 1:
+                body = power
+            elif power:
+                body = f"{abs(c)}{power}"
+            else:
+                body = str(abs(c))
+            parts.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(parts)
+        return text[2:] if text.startswith("+ ") else "-" + text[2:]

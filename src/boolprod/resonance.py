@@ -7,11 +7,11 @@ intersection lattice and runs the Mobius recursion.  Region counts follow by
 Zaslavsky's evaluation at -1.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, sqrt
 
 from .errors import CapacityError, ConsistencyError
+from .polyring import QPoly
 
 COUNT_MAX_N = 6
 FF_MAX_N = 5  # n=6 needs allow_long
@@ -88,11 +88,13 @@ def complement_count(n: int, p: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """coeffs[i] multiplies t^i; validated monic with the forced values."""
+class CharPoly(QPoly):
+    """coeffs[i] multiplies t^i; validated monic (hence already trimmed)
+    with the forced values."""
 
-    coeffs: tuple[int, ...]
+    VAR = "t"
+    DESCENDING = True
+    n = property(QPoly.degree)
 
     def __post_init__(self):
         n = self.n
@@ -105,33 +107,6 @@ class CharPoly:
             )
         if sum(self.coeffs) != 0:
             raise ConsistencyError(f"chi(1) = {sum(self.coeffs)} != 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, t0: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t0 + c
-        return acc
-
-    def __str__(self) -> str:
-        parts = []
-        for i in range(self.n, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            power = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            if i == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = power
-            else:
-                body = f"{abs(c)}{power}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def _interpolate(points: list[tuple[int, int]]) -> tuple[int, ...]:
@@ -170,7 +145,7 @@ def charpoly_ff(n: int, allow_long: bool = False) -> CharPoly:
         raise CapacityError(f"finite field method capped at n={COUNT_MAX_N}, got {n}")
     if n > FF_MAX_N and not allow_long:
         raise CapacityError(
-            f"n={n} takes minutes; pass allow_long=True (cli --allow-long) to run it"
+            f"n={n} takes 5-11 s; pass allow_long=True (cli --allow-long) to run it"
         )
     primes = valid_primes(n, n + 2)
     counts = [complement_count(n, p) for p in primes]

@@ -62,30 +62,56 @@ class SchurVector:
             raise ValueError("mixed variable counts")
         terms = dict(self.terms)
         for la, c in other.terms.items():
-            s = terms.get(la, 0) + c
-            if s:
-                terms[la] = s
-            elif la in terms:
-                del terms[la]
+            terms[la] = terms.get(la, 0) + c
         return SchurVector(self.var_count, terms)
 
 
-def to_mvector(p: MonomialPoly) -> MVector:
-    """Read a symmetric polynomial off in the monomial-symmetric basis.
+def block_mterms(
+    poly: MonomialPoly, blocks: list[tuple[int, str | None]]
+) -> dict[tuple[Partition, ...], int]:
+    """Read a polynomial symmetric in each variable block off in the product
+    of the blocks' monomial-symmetric bases.
 
-    Every exponent vector's coefficient is compared against its sorted
-    representative first; a mismatch raises AsymmetryError naming the two
-    exponent vectors as a witness.
+    ``blocks`` lists (size, name) pairs covering the variables in order.  The
+    blocks of every exponent vector are sorted one at a time; a coefficient
+    that changes on a step raises AsymmetryError naming the exponent vectors
+    before and after it and that block.  The result maps one partition per
+    block to the coefficient of the exponent vector sorted in every block.
     """
-    terms: dict[Partition, int] = {}
-    for exp, c in p.terms.items():
-        rep = tuple(sorted(exp, reverse=True))
-        if p.terms.get(rep, 0) != c:
-            raise AsymmetryError(exp, rep)
-        if exp == rep:
-            la = tuple(x for x in rep if x)
-            terms[la] = c
-    return MVector(p.var_count, terms)
+    cuts = []
+    lo = 0
+    for size, name in blocks:
+        cuts.append((lo, lo + size, name))
+        lo += size
+    if lo != poly.var_count:
+        raise ValueError(f"blocks cover {lo} variables, polynomial has {poly.var_count}")
+    # A lone block needs no slicing, which would otherwise be about a third
+    # of the per-monomial cost.
+    whole = len(cuts) == 1
+    terms = poly.terms
+    out = {}
+    for exp, c in terms.items():
+        cur = exp
+        for lo, hi, name in cuts:
+            if whole:
+                rep = tuple(sorted(cur, reverse=True))
+            else:
+                rep = cur[:lo] + tuple(sorted(cur[lo:hi], reverse=True)) + cur[hi:]
+            if terms.get(rep, 0) != c:
+                raise AsymmetryError(cur, rep, block=name)
+            cur = rep
+        if cur == exp:
+            out[tuple(tuple(x for x in exp[lo:hi] if x) for lo, hi, _ in cuts)] = c
+    return out
+
+
+def to_mvector(p: MonomialPoly) -> MVector:
+    """Read a symmetric polynomial off in the monomial-symmetric basis; see
+    block_mterms for the symmetry check and its witness."""
+    return MVector(
+        p.var_count,
+        {la: c for (la,), c in block_mterms(p, [(p.var_count, None)]).items()},
+    )
 
 
 def mvector_expand(v: MVector) -> MonomialPoly:
@@ -107,12 +133,8 @@ def schur_to_m(v: SchurVector) -> MVector:
         for mu in partitions_up_to(sum(la), v.var_count):
             k = kostka(la, mu)
             if k:
-                s = terms.get(mu, 0) + c * k
-                if s:
-                    terms[mu] = s
-                elif mu in terms:
-                    del terms[mu]
-    return MVector(v.var_count, {la: c for la, c in terms.items() if c})
+                terms[mu] = terms.get(mu, 0) + c * k
+    return MVector(v.var_count, terms)
 
 
 def m_to_schur(v: MVector) -> SchurVector:
@@ -130,11 +152,7 @@ def m_to_schur(v: MVector) -> SchurVector:
                 continue
             k = kostka(la, mu)
             if k:
-                s = work.get(mu, 0) - c * k
-                if s:
-                    work[mu] = s
-                elif mu in work:
-                    del work[mu]
+                work[mu] = work.get(mu, 0) - c * k
     return SchurVector(v.var_count, out)
 
 

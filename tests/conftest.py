@@ -1,28 +1,3 @@
-import pytest
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--run-long",
-        action="store_true",
-        default=False,
-        help="run opt-in long tests (the n=5 arrangement chain)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "long: opt-in long-running test")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-long"):
-        return
-    skip = pytest.mark.skip(reason="needs --run-long")
-    for item in items:
-        if "long" in item.keywords:
-            item.add_marker(skip)
-
-
 def _criterion_line(nodeid: str, word: str):
     tail = nodeid.split("::test_criterion_", 1)[1]
     number, _, label = tail.partition("_")

@@ -147,7 +147,6 @@ def test_criterion_08_arrangement_pipeline():
     assert perf_counter() - start < 120.0
 
 
-@pytest.mark.long
 def test_criterion_08_regions_at_n5():
     assert charpoly_ff(5).coeffs == (-3485, 5270, -2130, 375, -31, 1)
     assert regions(5) == 11292

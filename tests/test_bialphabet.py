@@ -4,15 +4,11 @@ from math import comb
 
 import pytest
 
-from boolprod.bialphabet import (
-    BiSchurVector,
-    _double_m,
-    dual_cauchy_reference,
-    pjk_expand,
-)
+from boolprod.bialphabet import BiSchurVector, dual_cauchy_reference, pjk_expand
 from boolprod.boolean import boolean_product
 from boolprod.errors import AsymmetryError, CapacityError
 from boolprod.polyring import MonomialPoly
+from boolprod.schur import block_mterms
 
 
 def test_bischur_vector_basics():
@@ -115,7 +111,7 @@ def test_parameter_validation():
 def test_asymmetry_detected_in_x_block():
     poly = MonomialPoly(3, {(1, 0, 0): 1, (0, 1, 0): 2})
     with pytest.raises(AsymmetryError) as info:
-        _double_m(poly, 2, 1)
+        block_mterms(poly, [(2, "x"), (1, "y")])
     assert info.value.block == "x"
     assert sorted(info.value.witness) == [(0, 1, 0), (1, 0, 0)]
 
@@ -123,6 +119,6 @@ def test_asymmetry_detected_in_x_block():
 def test_asymmetry_detected_in_y_block():
     poly = MonomialPoly(3, {(1, 1, 0): 1, (1, 0, 1): 2})
     with pytest.raises(AsymmetryError) as info:
-        _double_m(poly, 1, 2)
+        block_mterms(poly, [(1, "x"), (2, "y")])
     assert info.value.block == "y"
     assert sorted(info.value.witness) == [(1, 0, 1), (1, 1, 0)]

@@ -177,22 +177,6 @@ def test_consistency_errors_exit_4(capsys, monkeypatch):
     assert err.startswith("inconsistent:")
 
 
-def test_threads_variable_validation(capsys, monkeypatch):
-    monkeypatch.setenv("BOOLPROD_THREADS", "abc")
-    code, _, err = run_cli(capsys, "total", "--n", "2")
-    assert code == 2
-    assert "BOOLPROD_THREADS" in err
-
-    monkeypatch.setenv("BOOLPROD_THREADS", "0")
-    code, _, _ = run_cli(capsys, "total", "--n", "2")
-    assert code == 2
-
-    monkeypatch.setenv("BOOLPROD_THREADS", "4")
-    code, out, _ = run_cli(capsys, "total", "--n", "2")
-    assert code == 0
-    assert out == "s[2,1]\n"
-
-
 def test_timing_is_opt_in(capsys):
     _, out, _ = run_cli(capsys, "total", "--n", "2")
     assert "wall_time_ms" not in out

@@ -15,7 +15,7 @@ from boolprod.derangements import (
     frobenius_dimension,
     specialize_q,
 )
-from boolprod.errors import CapacityError
+from boolprod.errors import CapacityError, ConsistencyError
 from boolprod.schur import SchurVector
 from oracles import derangement_number
 
@@ -100,6 +100,15 @@ def test_bnm1_q_out_of_range():
         alternating_expansion(0)
     with pytest.raises(CapacityError):
         alternating_expansion(8)
+
+
+def test_bnm1_q_rejects_a_negative_layer(monkeypatch):
+    # the positivity check is a real exception, so it survives python -O
+    layers = [SchurVector(2, {(2,): 1, (1, 1): 1}), SchurVector(2, {(1, 1): -1}),
+              SchurVector(2, {(1, 1): 1})]
+    monkeypatch.setattr("boolprod.derangements._layer_vectors", lambda n: layers)
+    with pytest.raises(ConsistencyError, match=r"\(1, 1\)"):
+        bnm1_q(2)
 
 
 def test_alternating_expansion_degenerate():

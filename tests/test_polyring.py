@@ -22,6 +22,11 @@ def test_alphabet_validates_lengths():
         Alphabet(2, ((1, 1, 0),))
 
 
+def test_alphabet_from_subsets_counts_multiplicity():
+    a = Alphabet.from_subsets(3, [(0, 2), (1, 1), ()])
+    assert a.forms == ((1, 0, 1), (0, 2, 0), (0, 0, 0))
+
+
 def test_from_form_and_repr():
     p = MonomialPoly.from_form(2, (3, -1))
     assert p.terms == {(1, 0): 3, (0, 1): -1}
@@ -96,6 +101,8 @@ def test_scale_and_zero_purge():
     assert (p + p.scale(-1)).terms == {}
     assert not (p + p.scale(-1))
     assert p.scale(0).terms == {}
+    # the x1*x2 terms of (x1 + x2)(x1 - x2) cancel inside the product
+    assert (p * MonomialPoly.from_form(2, (1, -1))).terms == {(2, 0): 1, (0, 2): -1}
 
 
 @st.composite

@@ -126,7 +126,6 @@ def test_method_capacity_limits():
         charpoly_ff(7, allow_long=True)
 
 
-@pytest.mark.long
 def test_n5_regression_long():
     chi = charpoly_ff(5)
     assert chi.coeffs == FROZEN_CHI_5

@@ -31,6 +31,11 @@ def test_to_mvector_witness():
     assert sorted((a, b)) in ([(0, 1), (1, 0)], [(0, 2), (2, 0)])
 
 
+def test_schur_vector_sum_drops_cancelled_terms():
+    a = SchurVector(2, {(2,): 1, (1, 1): 2})
+    assert (a + SchurVector(2, {(1, 1): -2})).terms == {(2,): 1}
+
+
 def test_mvector_expand_inverts_extraction():
     v = MVector(3, {(2, 1): 4, (1, 1, 1): 7, (): 2})
     assert to_mvector(mvector_expand(v)).terms == v.terms
