@@ -7,11 +7,11 @@ Schur-basis multiplication rule is used anywhere.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import CapacityError
-from .polyring import Alphabet, MonomialPoly, alphabet_product, graded_elementary, poly_product
+from .polyring import Alphabet, MonomialPoly, alphabet_product, graded_elementary
 from .schur import SchurVector, schur_from_poly
 
 TOTAL_PRODUCT_MAX_N = 5  # degree 2^n - 1 blows up quickly past this
@@ -54,8 +54,8 @@ def total_boolean(n: int) -> SchurVector:
             f"total product supported up to n={TOTAL_PRODUCT_MAX_N} "
             f"(degree 2^n - 1 = {2**n - 1} at n={n})"
         )
-    factors = [alphabet_product(subset_alphabet(n, k)) for k in range(1, n + 1)]
-    return schur_from_poly(poly_product(factors, n))
+    subsets = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
+    return schur_from_poly(alphabet_product(Alphabet.from_subsets(n, subsets)))
 
 
 def boolean_degree(n: int, k: int) -> int:

@@ -3,8 +3,9 @@
 Sparse coefficients are Python ints (arbitrary precision); exponent vectors
 are tuples of length ``var_count``.  Zero coefficients are purged by the
 constructor, so intermediate term dicts may hold zeros until wrapped.
-Products of many factors go through a balanced binary tree to keep
-intermediate supports small; the result is independent of association order.
+Products of many factors are multiplied in one factor at a time: a partial
+product of forms in a few variables fills almost every monomial of its
+degree, so a balanced tree's root multiply would cost far more.
 ``QPoly`` is the dense univariate type, trimmed of trailing zeros.
 """
 
@@ -144,16 +145,15 @@ class MonomialPoly:
 
 
 def poly_product(polys: list[MonomialPoly], var_count: int) -> MonomialPoly:
-    """Product of a list of polynomials via a balanced binary tree."""
-    if not polys:
-        return MonomialPoly.constant(var_count, 1)
-    layer = list(polys)
-    while len(layer) > 1:
-        nxt = [layer[i] * layer[i + 1] for i in range(0, len(layer) - 1, 2)]
-        if len(layer) % 2:
-            nxt.append(layer[-1])
-        layer = nxt
-    return layer[0]
+    """Product of a list of polynomials, multiplied in left to right."""
+    acc = {(0,) * var_count: 1}
+    for p in polys:
+        if p.var_count != var_count:
+            raise ValueError("mixed variable counts")
+        nxt: dict = {}
+        _mul_into(nxt, acc, p.terms)
+        acc = nxt
+    return MonomialPoly(var_count, acc)
 
 
 def alphabet_product(a: Alphabet) -> MonomialPoly:
@@ -165,50 +165,22 @@ def alphabet_product(a: Alphabet) -> MonomialPoly:
     return poly_product(polys, a.var_count)
 
 
-def _tmul(u: list[dict], v: list[dict], cap: int) -> list[dict]:
-    """Truncated product of t-polynomials whose coefficients are term dicts."""
-    out_len = min(len(u) + len(v) - 1, cap + 1)
-    out: list[dict] = [dict() for _ in range(out_len)]
-    for i, ui in enumerate(u):
-        if not ui or i >= out_len:
-            continue
-        for j, vj in enumerate(v):
-            if i + j >= out_len:
-                break
-            if vj:
-                _mul_into(out[i + j], ui, vj)
-    return out
-
-
 def graded_elementary(a: Alphabet, cap: int | None = None) -> list[MonomialPoly]:
     """All elementary symmetric polynomials of the alphabet at once.
 
     Returns [e_0(A), e_1(A), ..., e_m(A)] with m = min(cap, |A|): the
-    coefficients of t^p in prod_{f in A} (1 + t*f), computed by a balanced
-    product tree of truncated t-polynomials.
+    coefficients of t^p in prod_{f in A} (1 + t*f), one form f at a time
+    through e_p <- e_p + f*e_(p-1), p descending.
     """
     top = len(a.forms)
     if cap is not None:
         top = min(cap, top)
-    one = {(0,) * a.var_count: 1}
-    layer: list[list[dict]] = [
-        [dict(one), dict(MonomialPoly.from_form(a.var_count, f).terms)]
-        for f in a.forms
-    ]
-    if not layer:
-        return [MonomialPoly.constant(a.var_count, 1)]
-    while len(layer) > 1:
-        nxt = [
-            _tmul(layer[i], layer[i + 1], top)
-            for i in range(0, len(layer) - 1, 2)
-        ]
-        if len(layer) % 2:
-            nxt.append(layer[-1])
-        layer = nxt
-    out = [MonomialPoly(a.var_count, terms) for terms in layer[0]]
-    while len(out) < top + 1:
-        out.append(MonomialPoly(a.var_count))
-    return out
+    es: list[dict] = [{(0,) * a.var_count: 1}] + [{} for _ in range(top)]
+    for f in a.forms:
+        form = MonomialPoly.from_form(a.var_count, f).terms
+        for p in range(top, 0, -1):
+            _mul_into(es[p], form, es[p - 1])
+    return [MonomialPoly(a.var_count, terms) for terms in es]
 
 
 def elementary_of_alphabet(p: int, a: Alphabet) -> MonomialPoly:

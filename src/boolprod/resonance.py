@@ -110,27 +110,19 @@ class CharPoly(QPoly):
 
 
 def _interpolate(points: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Exact Lagrange fit; the answer must be integral to be returned."""
-    size = len(points)
-    acc = [Fraction(0)] * size
-    for i, (xi, yi) in enumerate(points):
-        num = [Fraction(1)]
-        den = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = [
-                (num[t - 1] if t else 0) - xj * (num[t] if t < len(num) else 0)
-                for t in range(len(num) + 1)
-            ]
-            den *= xi - xj
-        scale = Fraction(yi, den)
-        for t in range(len(num)):
-            acc[t] += scale * num[t]
-    for t, c in enumerate(acc):
-        if c.denominator != 1:
-            raise ConsistencyError(f"non-integer t^{t} coefficient {c} in fit")
-    return tuple(int(c) for c in acc)
+    """Exact Newton fit.  An integer polynomial has integer divided
+    differences at integer nodes, so a division with a remainder rejects it."""
+    xs = [x for x, _ in points]
+    diffs = [y for _, y in points]
+    for j in range(1, len(points)):
+        for i in range(len(points) - 1, j - 1, -1):
+            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], xs[i] - xs[i - j])
+            if rem:
+                raise ConsistencyError(f"non-integer order-{j} divided difference")
+    poly = QPoly()
+    for x, d in zip(reversed(xs), reversed(diffs)):
+        poly = poly * QPoly((-x, 1)) + d
+    return poly.coeffs + (0,) * (len(points) - len(poly.coeffs))
 
 
 def charpoly_ff(n: int, allow_long: bool = False) -> CharPoly:

@@ -7,7 +7,10 @@ Schur polynomial at the forms of an alphabet through the dual Jacobi-Trudi
 determinant in the alphabet's elementary symmetric polynomials.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations, product
+from math import factorial
 
 from .errors import AsymmetryError
 from .polyring import Alphabet, MonomialPoly, graded_elementary
@@ -75,7 +78,10 @@ def block_mterms(
     ``blocks`` lists (size, name) pairs covering the variables in order.  The
     blocks of every exponent vector are sorted one at a time; a coefficient
     that changes on a step raises AsymmetryError naming the exponent vectors
-    before and after it and that block.  The result maps one partition per
+    before and after it and that block.  The orbits of the exponent vectors
+    sorted in every block must then account for every term; if one does not,
+    AsymmetryError names a present and an absent exponent vector that differ
+    inside one block, and that block.  The result maps one partition per
     block to the coefficient of the exponent vector sorted in every block.
     """
     cuts = []
@@ -90,6 +96,7 @@ def block_mterms(
     whole = len(cuts) == 1
     terms = poly.terms
     out = {}
+    dominant = []
     for exp, c in terms.items():
         cur = exp
         for lo, hi, name in cuts:
@@ -102,7 +109,30 @@ def block_mterms(
             cur = rep
         if cur == exp:
             out[tuple(tuple(x for x in exp[lo:hi] if x) for lo, hi, _ in cuts)] = c
+            dominant.append(exp)
+    if sum(_orbit_size(d, cuts) for d in dominant) != len(terms):
+        # Some orbit misses a member: step from its dominant vector towards
+        # that member one block at a time until a step leaves the support.
+        for d in dominant:
+            for parts in product(*(set(permutations(d[lo:hi])) for lo, hi, _ in cuts)):
+                target = sum(parts, ())
+                cur = d
+                for lo, hi, name in cuts:
+                    step = cur[:lo] + target[lo:hi] + cur[hi:]
+                    if step not in terms:
+                        raise AsymmetryError(cur, step, block=name)
+                    cur = step
     return out
+
+
+def _orbit_size(exp: tuple[int, ...], cuts) -> int:
+    """Number of exponent vectors reached by permuting within each block."""
+    size = 1
+    for lo, hi, _ in cuts:
+        size *= factorial(hi - lo)
+        for mult in Counter(exp[lo:hi]).values():
+            size //= factorial(mult)
+    return size
 
 
 def to_mvector(p: MonomialPoly) -> MVector:
@@ -116,8 +146,6 @@ def to_mvector(p: MonomialPoly) -> MVector:
 
 def mvector_expand(v: MVector) -> MonomialPoly:
     """Inverse of to_mvector: sum of full monomial orbits."""
-    from itertools import permutations
-
     terms: dict = {}
     for la, c in v.terms.items():
         padded = la + (0,) * (v.var_count - len(la))

@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive and shares no code with the package:
 tableaux are enumerated cell by cell, determinants expand over permutations,
-and point counts loop over whole vector spaces.  Slow but obviously correct
+products of linear forms pick one variable per factor, and point counts loop
+over whole vector spaces.  Slow but obviously correct
 at the sizes the tests use.
 """
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 
@@ -59,6 +60,29 @@ def schur_poly_direct(shape, var_count):
         exps = tuple(seen.get(i + 1, 0) for i in range(var_count))
         out[exps] = out.get(exps, 0) + 1
     return out
+
+
+def expand_forms(forms, var_count):
+    """Product of linear forms (coefficient tuples) as a raw exponent-vector
+    dict, one choice of variable per factor at a time."""
+    out = {}
+    for picks in product(range(var_count), repeat=len(forms)):
+        coeff = 1
+        for form, i in zip(forms, picks):
+            coeff *= form[i]
+        exps = tuple(picks.count(i) for i in range(var_count))
+        out[exps] = out.get(exps, 0) + coeff
+    return {e: c for e, c in out.items() if c}
+
+
+def elementary_of_forms(p, forms, var_count):
+    """p-th elementary symmetric polynomial of the forms: the sum of their
+    products over every p-subset."""
+    out = {}
+    for chosen in combinations(forms, p):
+        for e, c in expand_forms(chosen, var_count).items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def naive_det(matrix):

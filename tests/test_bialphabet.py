@@ -122,3 +122,11 @@ def test_asymmetry_detected_in_y_block():
         block_mterms(poly, [(1, "x"), (2, "y")])
     assert info.value.block == "y"
     assert sorted(info.value.witness) == [(1, 0, 1), (1, 1, 0)]
+
+
+def test_asymmetry_detected_in_an_incomplete_x_orbit():
+    poly = MonomialPoly(3, {(1, 0, 1): 1})
+    with pytest.raises(AsymmetryError) as info:
+        block_mterms(poly, [(2, "x"), (1, "y")])
+    assert info.value.block == "x"
+    assert info.value.witness == ((1, 0, 1), (0, 1, 1))

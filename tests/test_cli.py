@@ -198,11 +198,7 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
-def _spawn(argv, threads=None):
-    env = dict(os.environ)
-    env.pop("BOOLPROD_THREADS", None)
-    if threads is not None:
-        env["BOOLPROD_THREADS"] = threads
+def _spawn(argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "boolprod", *argv],
         capture_output=True,
@@ -212,10 +208,19 @@ def _spawn(argv, threads=None):
 
 
 def test_output_is_byte_identical_across_runs():
-    argv = ["schur-at", "--lambda", "2,1", "--n", "3", "--k", "2", "--format", "json"]
-    assert _spawn(argv) == _spawn(argv)
+    for argv in (
+        ["schur-at", "--lambda", "2,1", "--n", "3", "--k", "2", "--format", "json"],
+        ["boolean-expand", "--n", "4", "--k", "2", "--format", "json"],
+    ):
+        assert _spawn(argv) == _spawn(argv)
 
 
 def test_output_ignores_thread_count():
+    # No worker count is read: a stale BOOLPROD_THREADS, even one that is
+    # not a number, must neither fail the run nor change its bytes.
     argv = ["boolean-expand", "--n", "4", "--k", "2", "--format", "json"]
-    assert _spawn(argv, threads="1") == _spawn(argv, threads="4")
+    env = {k: v for k, v in os.environ.items() if k != "BOOLPROD_THREADS"}
+    outs = [_spawn(argv, env)]
+    for threads in ("1", "4", "many"):
+        outs.append(_spawn(argv, {**env, "BOOLPROD_THREADS": threads}))
+    assert all(out == outs[0] for out in outs)

@@ -1,5 +1,3 @@
-from functools import reduce
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +9,7 @@ from boolprod.polyring import (
     graded_elementary,
     poly_product,
 )
+from oracles import elementary_of_forms, expand_forms
 
 
 def three_pairs():
@@ -69,11 +68,16 @@ def test_elementary_known_values():
 
 
 def test_graded_elementary_matches_slices():
-    a = three_pairs()
-    grades = graded_elementary(a)
-    assert len(grades) == 4
-    for p in range(4):
-        assert grades[p] == elementary_of_alphabet(p, a)
+    # the signed alphabet cancels x2 in e_1 and x1*x2 in e_2
+    signed = Alphabet(3, ((1, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, 2)))
+    for a in (three_pairs(), signed):
+        for cap in (None, 2):
+            grades = graded_elementary(a, cap)
+            top = len(a) if cap is None else cap
+            assert len(grades) == top + 1
+            for p in range(top + 1):
+                expected = MonomialPoly(3, elementary_of_forms(p, a.forms, 3))
+                assert grades[p] == expected == elementary_of_alphabet(p, a)
 
 
 def test_total_chern_identity():
@@ -89,11 +93,12 @@ def test_total_chern_identity():
 
 
 def test_poly_product_matches_left_fold():
-    forms = [(1, 0, 1), (0, 2, 1), (1, 1, 1), (3, 0, 0), (1, 1, 0)]
+    # (x1 + x2)(x1 - x2) cancels x1*x2 in the middle of the product
+    forms = [(1, 0, 1), (1, 1, 0), (1, -1, 0), (0, 2, 1), (1, 1, 1), (3, 0, 0)]
     polys = [MonomialPoly.from_form(3, f) for f in forms]
-    tree = poly_product(polys, 3)
-    fold = reduce(lambda x, y: x * y, polys)
-    assert tree == fold
+    assert poly_product(polys, 3).terms == expand_forms(forms, 3)
+    with pytest.raises(ValueError, match="mixed variable counts"):
+        poly_product([polys[0], MonomialPoly.from_form(2, (1, 1))], 3)
 
 
 def test_scale_and_zero_purge():
@@ -106,18 +111,19 @@ def test_scale_and_zero_purge():
 
 
 @st.composite
-def form_list(draw):
+def form_list(draw, low=0):
     count = draw(st.integers(min_value=1, max_value=5))
     return [
-        tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(3))
+        tuple(draw(st.integers(min_value=low, max_value=2)) for _ in range(3))
         for _ in range(count)
     ]
 
 
-@given(form_list())
+@given(form_list(low=-2))
 def test_product_tree_order_independent(forms):
     polys = [MonomialPoly.from_form(3, f) for f in forms]
-    assert poly_product(polys, 3) == reduce(lambda x, y: x * y, polys)
+    assert poly_product(polys, 3).terms == expand_forms(forms, 3)
+    assert poly_product(polys[::-1], 3).terms == expand_forms(forms, 3)
 
 
 @given(form_list())

@@ -31,6 +31,22 @@ def test_to_mvector_witness():
     assert sorted((a, b)) in ([(0, 1), (1, 0)], [(0, 2), (2, 0)])
 
 
+def test_to_mvector_rejects_an_incomplete_orbit():
+    with pytest.raises(AsymmetryError) as err:
+        to_mvector(MonomialPoly(2, {(1, 0): 1}))
+    assert err.value.witness == ((1, 0), (0, 1))
+
+
+def test_schur_from_poly_rejects_an_incomplete_orbit():
+    # x1^2*x2 + 5*x1*x2*x3 passes every sorted-representative comparison
+    p = MonomialPoly(3, {(2, 1, 0): 1, (1, 1, 1): 5})
+    with pytest.raises(AsymmetryError) as err:
+        schur_from_poly(p)
+    present, absent = err.value.witness
+    assert present in p.terms and absent not in p.terms
+    assert sorted(present) == sorted(absent)
+
+
 def test_schur_vector_sum_drops_cancelled_terms():
     a = SchurVector(2, {(2,): 1, (1, 1): 2})
     assert (a + SchurVector(2, {(1, 1): -2})).terms == {(2,): 1}
