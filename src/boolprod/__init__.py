@@ -2,7 +2,6 @@
 
 from .bialphabet import BiSchurVector, dual_cauchy_reference, pjk_expand
 from .boolean import (
-    boolean_degree,
     boolean_product,
     ep_subset,
     subset_alphabet,
@@ -22,7 +21,6 @@ from .polyring import (
     MonomialPoly,
     QPoly,
     alphabet_product,
-    elementary_of_alphabet,
     graded_elementary,
     poly_product,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "alternating_expansion",
     "binomial_det",
     "bnm1_q",
-    "boolean_degree",
     "boolean_product",
     "bounded_regions",
     "charpoly_ff",
@@ -87,7 +84,6 @@ __all__ = [
     "conjugate",
     "dominance_leq",
     "dual_cauchy_reference",
-    "elementary_of_alphabet",
     "ep_subset",
     "format_partition",
     "frobenius_dimension",

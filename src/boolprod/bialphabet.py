@@ -13,7 +13,7 @@ from math import comb
 
 from .errors import CapacityError, ConsistencyError
 from .polyring import Alphabet, alphabet_product
-from .schur import MVector, block_mterms, m_to_schur
+from .schur import block_schur
 from .tableaux import Partition, conjugate, subpartitions
 
 PJK_FORM_CAP = 30
@@ -46,10 +46,10 @@ class BiSchurVector:
 def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
     """Expand the product of all X_S + Y_T with |S| = j, |T| = k.
 
-    Kostka inversion runs independently in each block: first every x-sorted
-    slice is converted to Schur terms in X, then each of those is converted
-    in Y.  Negative output coefficients would contradict the positivity this
-    product is known to have, so they are a hard failure.
+    The product is read off in Schur pairs in one pass by block_schur, with
+    the x variables as one block and the y variables as the other.  Negative
+    output coefficients would contradict the positivity this product is
+    known to have, so they are a hard failure.
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
@@ -66,21 +66,9 @@ def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
     alphabet = Alphabet.from_subsets(
         n + m, (s + t for s in combinations(range(n), j) for t in y_subsets)
     )
-    doubled = block_mterms(alphabet_product(alphabet), [(n, "x"), (m, "y")])
-
-    by_beta: dict[Partition, dict[Partition, int]] = {}
-    for (alpha, beta), c in doubled.items():
-        by_beta.setdefault(beta, {})[alpha] = c
-    halfway: dict[Partition, dict[Partition, int]] = {}
-    for beta, slice_terms in by_beta.items():
-        for la, c in m_to_schur(MVector(n, slice_terms)).terms.items():
-            halfway.setdefault(la, {})[beta] = c
-    terms: dict[PartitionPair, int] = {}
-    for la, slice_terms in halfway.items():
-        for mu, c in m_to_schur(MVector(m, slice_terms)).terms.items():
-            terms[(la, mu)] = c
-
-    out = BiSchurVector(n, m, terms)
+    out = BiSchurVector(
+        n, m, block_schur(alphabet_product(alphabet), [(n, "x"), (m, "y")])
+    )
     if not out.is_nonnegative():
         bad = min(pair for pair, c in out.terms.items() if c < 0)
         raise ConsistencyError(

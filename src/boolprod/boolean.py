@@ -2,13 +2,13 @@
 
 The (n,k) product is the product of the subset sums x_S over all k-subsets S
 of {1..n}; the total product multiplies these over every k.  Everything is
-expanded exactly in monomial space and converted through Kostka inversion; no
-Schur-basis multiplication rule is used anywhere.
+expanded exactly in monomial space and read off in the Schur basis by
+antisymmetrisation (schur.block_schur); no Schur-basis multiplication rule is
+used anywhere.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb
 
 from .errors import CapacityError
 from .polyring import Alphabet, MonomialPoly, alphabet_product, graded_elementary
@@ -56,7 +56,3 @@ def total_boolean(n: int) -> SchurVector:
         )
     subsets = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
     return schur_from_poly(alphabet_product(Alphabet.from_subsets(n, subsets)))
-
-
-def boolean_degree(n: int, k: int) -> int:
-    return comb(n, k)

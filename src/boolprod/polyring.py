@@ -183,18 +183,6 @@ def graded_elementary(a: Alphabet, cap: int | None = None) -> list[MonomialPoly]
     return [MonomialPoly(a.var_count, terms) for terms in es]
 
 
-def elementary_of_alphabet(p: int, a: Alphabet) -> MonomialPoly:
-    """p-th elementary symmetric polynomial of the forms of the alphabet.
-
-    e_0 = 1; e_p = 0 for p beyond the alphabet size.
-    """
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    if p > len(a.forms):
-        return MonomialPoly(a.var_count)
-    return graded_elementary(a, cap=p)[p]
-
-
 @dataclass(frozen=True)
 class QPoly:
     """Dense univariate integer polynomial; coeffs[i] is the coefficient of

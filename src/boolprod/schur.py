@@ -1,20 +1,24 @@
 """Conversions between monomial-symmetric and Schur bases.
 
-The Kostka matrix is unitriangular with respect to dominance, and the
-descending tuple order on partitions linearly extends dominance, so
-``m_to_schur`` is plain back-substitution.  ``schur_at_alphabet`` evaluates a
-Schur polynomial at the forms of an alphabet through the dual Jacobi-Trudi
-determinant in the alphabet's elementary symmetric polynomials.
+``block_schur`` reads a polynomial symmetric in one variable block or several
+off in the Schur basis by antisymmetrising it against the staircase;
+``schur_to_m`` goes back through Kostka numbers.  ``schur_at_alphabet``
+evaluates a Schur polynomial at the forms of an alphabet through the dual
+Jacobi-Trudi determinant in the alphabet's elementary symmetric polynomials.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import factorial
+from operator import add, sub
 
 from .errors import AsymmetryError
 from .polyring import Alphabet, MonomialPoly, graded_elementary
 from .tableaux import Partition, conjugate, kostka, partitions_up_to
+
+# (size, name) of each variable block, in variable order
+Blocks = list[tuple[int, str | None]]
 
 
 @dataclass
@@ -69,9 +73,7 @@ class SchurVector:
         return SchurVector(self.var_count, terms)
 
 
-def block_mterms(
-    poly: MonomialPoly, blocks: list[tuple[int, str | None]]
-) -> dict[tuple[Partition, ...], int]:
+def block_mterms(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
     """Read a polynomial symmetric in each variable block off in the product
     of the blocks' monomial-symmetric bases.
 
@@ -84,13 +86,7 @@ def block_mterms(
     inside one block, and that block.  The result maps one partition per
     block to the coefficient of the exponent vector sorted in every block.
     """
-    cuts = []
-    lo = 0
-    for size, name in blocks:
-        cuts.append((lo, lo + size, name))
-        lo += size
-    if lo != poly.var_count:
-        raise ValueError(f"blocks cover {lo} variables, polynomial has {poly.var_count}")
+    cuts = _cuts(blocks, poly.var_count)
     # A lone block needs no slicing, which would otherwise be about a third
     # of the per-monomial cost.
     whole = len(cuts) == 1
@@ -123,6 +119,53 @@ def block_mterms(
                         raise AsymmetryError(cur, step, block=name)
                     cur = step
     return out
+
+
+def _cuts(blocks: Blocks, var_count: int) -> list:
+    """(start, stop, name) of each block; the blocks must cover the variables."""
+    cuts = []
+    lo = 0
+    for size, name in blocks:
+        cuts.append((lo, lo + size, name))
+        lo += size
+    if lo != var_count:
+        raise ValueError(f"blocks cover {lo} variables, polynomial has {var_count}")
+    return cuts
+
+
+def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
+    """Read a polynomial symmetric in each variable block off in the product
+    of the blocks' Schur bases; ``blocks`` and the symmetry check are those
+    of block_mterms, and a coefficient that cancels to 0 is left out.
+
+    With delta = (s-1, ..., 0) in a block of size s, f * a_delta is the
+    antisymmetrisation of f * x^delta, and s_la = a_(la+delta)/a_delta
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3).  So each term
+    c x^alpha whose alpha+delta has distinct entries in every block adds
+    sgn(sigma) c at sort(alpha+delta) - delta, sigma sorting each block.
+    """
+    block_mterms(poly, blocks)
+    steps = [(lo, hi, range(hi - lo)[::-1]) for lo, hi, _ in _cuts(blocks, poly.var_count)]
+    out: dict[tuple[Partition, ...], int] = {}
+    for exp, c in poly.terms.items():
+        key = ()
+        for lo, hi, delta in steps:
+            part = list(map(add, exp[lo:hi], delta))
+            if len(set(part)) < hi - lo:
+                break
+            # Insertion sort, descending; each swap flips the sign.
+            for i in range(1, hi - lo):
+                a = part[i]
+                j = i
+                while j and part[j - 1] < a:
+                    part[j] = part[j - 1]
+                    j -= 1
+                    c = -c
+                part[j] = a
+            key += (tuple(x for x in map(sub, part, delta) if x),)
+        else:
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 def _orbit_size(exp: tuple[int, ...], cuts) -> int:
@@ -166,27 +209,14 @@ def schur_to_m(v: SchurVector) -> MVector:
 
 
 def m_to_schur(v: MVector) -> SchurVector:
-    """Unique Schur expansion by back-substitution down the partition order."""
-    work = dict(v.terms)
-    out: dict[Partition, int] = {}
-    while work:
-        la = max(work)
-        c = work.pop(la)
-        if not c:
-            continue
-        out[la] = c
-        for mu in partitions_up_to(sum(la), v.var_count):
-            if mu == la:
-                continue
-            k = kostka(la, mu)
-            if k:
-                work[mu] = work.get(mu, 0) - c * k
-    return SchurVector(v.var_count, out)
+    """Unique Schur expansion of a monomial-symmetric combination."""
+    return schur_from_poly(mvector_expand(v))
 
 
 def schur_from_poly(p: MonomialPoly) -> SchurVector:
-    """Symmetry check, m-extraction, and Kostka inversion in one step."""
-    return m_to_schur(to_mvector(p))
+    """Symmetry check and Schur extraction; see block_schur."""
+    terms = block_schur(p, [(p.var_count, None)])
+    return SchurVector(p.var_count, {la: c for (la,), c in terms.items()})
 
 
 def _poly_det(m: list[list[MonomialPoly]], var_count: int) -> MonomialPoly:

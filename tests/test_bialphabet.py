@@ -8,7 +8,8 @@ from boolprod.bialphabet import BiSchurVector, dual_cauchy_reference, pjk_expand
 from boolprod.boolean import boolean_product
 from boolprod.errors import AsymmetryError, CapacityError
 from boolprod.polyring import MonomialPoly
-from boolprod.schur import block_mterms
+from boolprod.schur import block_mterms, block_schur
+from oracles import schur_poly_direct
 
 
 def test_bischur_vector_basics():
@@ -108,12 +109,34 @@ def test_parameter_validation():
         dual_cauchy_reference(0, 2)
 
 
+def test_block_schur_reads_off_schur_pairs():
+    # sum c * s_la(X) * s_mu(Y), each Schur polynomial enumerated tableau by
+    # tableau, the x and y exponent vectors concatenated
+    cases = [
+        (1, 2, {((3,), (1,)): 2, ((), (1, 1)): -1, ((1,), ()): 5}),
+        (2, 1, {((2, 1), (2,)): -3, ((1, 1), ()): 1, ((), ()): 4, ((3,), (1,)): 2}),
+        (3, 2, {((2, 1, 1), (1,)): 1, ((2,), (2, 1)): -2, ((1,), (1, 1)): 3, ((3,), ()): 1}),
+        (0, 2, {((), (2, 1)): -1, ((), ()): 2}),
+    ]
+    for n, m, coeffs in cases:
+        terms = {}
+        for (la, mu), c in coeffs.items():
+            for ex, a in schur_poly_direct(la, n).items():
+                for ey, b in schur_poly_direct(mu, m).items():
+                    terms[ex + ey] = terms.get(ex + ey, 0) + c * a * b
+        poly = MonomialPoly(n + m, terms)
+        assert block_schur(poly, [(n, "x"), (m, "y")]) == coeffs
+        with pytest.raises(ValueError, match="blocks cover"):
+            block_schur(poly, [(n, "x")])
+
+
 def test_asymmetry_detected_in_x_block():
     poly = MonomialPoly(3, {(1, 0, 0): 1, (0, 1, 0): 2})
-    with pytest.raises(AsymmetryError) as info:
-        block_mterms(poly, [(2, "x"), (1, "y")])
-    assert info.value.block == "x"
-    assert sorted(info.value.witness) == [(0, 1, 0), (1, 0, 0)]
+    for extract in (block_mterms, block_schur):
+        with pytest.raises(AsymmetryError) as info:
+            extract(poly, [(2, "x"), (1, "y")])
+        assert info.value.block == "x"
+        assert sorted(info.value.witness) == [(0, 1, 0), (1, 0, 0)]
 
 
 def test_asymmetry_detected_in_y_block():

@@ -5,7 +5,6 @@ from boolprod.polyring import (
     Alphabet,
     MonomialPoly,
     alphabet_product,
-    elementary_of_alphabet,
     graded_elementary,
     poly_product,
 )
@@ -58,13 +57,11 @@ def test_pair_product_monomials():
 
 def test_elementary_known_values():
     a = three_pairs()
-    e0 = elementary_of_alphabet(0, a)
-    assert e0.terms == {(0, 0, 0): 1}
-    e1 = elementary_of_alphabet(1, a)
+    assert graded_elementary(a, cap=0)[0].terms == {(0, 0, 0): 1}
+    e1 = graded_elementary(a, cap=1)[1]
     assert e1.terms == {(1, 0, 0): 2, (0, 1, 0): 2, (0, 0, 1): 2}
-    assert elementary_of_alphabet(4, a).terms == {}
-    with pytest.raises(ValueError):
-        elementary_of_alphabet(-1, a)
+    # no e_p past the alphabet size, whatever the cap
+    assert len(graded_elementary(a, cap=4)) == 4
 
 
 def test_graded_elementary_matches_slices():
@@ -77,7 +74,7 @@ def test_graded_elementary_matches_slices():
             assert len(grades) == top + 1
             for p in range(top + 1):
                 expected = MonomialPoly(3, elementary_of_forms(p, a.forms, 3))
-                assert grades[p] == expected == elementary_of_alphabet(p, a)
+                assert grades[p] == expected == graded_elementary(a, cap=p)[p]
 
 
 def test_total_chern_identity():

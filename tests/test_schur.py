@@ -1,7 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boolprod.bialphabet import pjk_expand
+from boolprod.boolean import boolean_product
+from boolprod.derangements import bnm1_q
 from boolprod.errors import AsymmetryError
+from boolprod.lascoux import lascoux_check
 from boolprod.polyring import Alphabet, MonomialPoly
 from boolprod.schur import (
     MVector,
@@ -13,7 +17,7 @@ from boolprod.schur import (
     schur_to_m,
     to_mvector,
 )
-from boolprod.tableaux import partitions_up_to
+from boolprod.tableaux import kostka, partitions_up_to
 from oracles import schur_poly_direct
 
 
@@ -116,6 +120,16 @@ def test_schur_at_alphabet_example():
 def test_schur_at_alphabet_too_long_is_zero():
     pairs = Alphabet(2, ((1, 1), (1, 0)))
     assert schur_at_alphabet((1, 1, 1), pairs).terms == {}
+
+
+def test_production_paths_leave_the_kostka_memo_empty():
+    # Kostka numbers serve only the Schur -> m direction
+    kostka.cache_clear()
+    boolean_product(5, 3)
+    pjk_expand(3, 3, 2, 1)
+    bnm1_q(5)
+    lascoux_check(4, "exterior")
+    assert kostka.cache_info().currsize == 0
 
 
 def test_schur_from_poly_inhomogeneous():
