@@ -24,6 +24,8 @@ def subset_alphabet(n: int, k: int) -> Alphabet:
     return Alphabet.from_subsets(n, combinations(range(n), k))
 
 
+# The cached polynomials are mutable, so they are only read (by ep_subset,
+# through schur_from_poly) and never handed to a caller.
 @lru_cache(maxsize=None)
 def _graded_subset_elementary(n: int, k: int) -> tuple[MonomialPoly, ...]:
     return tuple(graded_elementary(subset_alphabet(n, k)))

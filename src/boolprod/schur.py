@@ -1,17 +1,17 @@
 """Conversions between monomial-symmetric and Schur bases.
 
 ``block_schur`` reads a polynomial symmetric in one variable block or several
-off in the Schur basis by antisymmetrising it against the staircase;
+off in the Schur basis by antisymmetrising it against the staircase, after
+checking that the polynomial is invariant under a swap and a cycle of each
+block;
 ``schur_to_m`` goes back through Kostka numbers.  ``schur_at_alphabet``
 evaluates a Schur polynomial at the forms of an alphabet through the dual
 Jacobi-Trudi determinant in the alphabet's elementary symmetric polynomials.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations, product
-from math import factorial
-from operator import add, sub
+from itertools import permutations
+from operator import add, ge, itemgetter, sub
 
 from .errors import AsymmetryError
 from .polyring import Alphabet, MonomialPoly, graded_elementary
@@ -73,54 +73,6 @@ class SchurVector:
         return SchurVector(self.var_count, terms)
 
 
-def block_mterms(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
-    """Read a polynomial symmetric in each variable block off in the product
-    of the blocks' monomial-symmetric bases.
-
-    ``blocks`` lists (size, name) pairs covering the variables in order.  The
-    blocks of every exponent vector are sorted one at a time; a coefficient
-    that changes on a step raises AsymmetryError naming the exponent vectors
-    before and after it and that block.  The orbits of the exponent vectors
-    sorted in every block must then account for every term; if one does not,
-    AsymmetryError names a present and an absent exponent vector that differ
-    inside one block, and that block.  The result maps one partition per
-    block to the coefficient of the exponent vector sorted in every block.
-    """
-    cuts = _cuts(blocks, poly.var_count)
-    # A lone block needs no slicing, which would otherwise be about a third
-    # of the per-monomial cost.
-    whole = len(cuts) == 1
-    terms = poly.terms
-    out = {}
-    dominant = []
-    for exp, c in terms.items():
-        cur = exp
-        for lo, hi, name in cuts:
-            if whole:
-                rep = tuple(sorted(cur, reverse=True))
-            else:
-                rep = cur[:lo] + tuple(sorted(cur[lo:hi], reverse=True)) + cur[hi:]
-            if terms.get(rep, 0) != c:
-                raise AsymmetryError(cur, rep, block=name)
-            cur = rep
-        if cur == exp:
-            out[tuple(tuple(x for x in exp[lo:hi] if x) for lo, hi, _ in cuts)] = c
-            dominant.append(exp)
-    if sum(_orbit_size(d, cuts) for d in dominant) != len(terms):
-        # Some orbit misses a member: step from its dominant vector towards
-        # that member one block at a time until a step leaves the support.
-        for d in dominant:
-            for parts in product(*(set(permutations(d[lo:hi])) for lo, hi, _ in cuts)):
-                target = sum(parts, ())
-                cur = d
-                for lo, hi, name in cuts:
-                    step = cur[:lo] + target[lo:hi] + cur[hi:]
-                    if step not in terms:
-                        raise AsymmetryError(cur, step, block=name)
-                    cur = step
-    return out
-
-
 def _cuts(blocks: Blocks, var_count: int) -> list:
     """(start, stop, name) of each block; the blocks must cover the variables."""
     cuts = []
@@ -133,10 +85,38 @@ def _cuts(blocks: Blocks, var_count: int) -> list:
     return cuts
 
 
+def _check_symmetric(poly: MonomialPoly, cuts: list) -> None:
+    """Raise AsymmetryError unless poly is symmetric in each block of cuts.
+
+    S_s is generated by the swap (1 2) and the cycle (1 2 ... s), so it is
+    enough that every term keeps its coefficient under those two
+    permutations of each block of size s >= 2.  The witness is the term's
+    exponent vector and its image, and the error names that block.
+    """
+    n = poly.var_count
+    moves = []
+    for lo, hi, name in cuts:
+        if hi - lo < 2:
+            continue
+        keep, rest = list(range(lo)), list(range(hi, n))
+        swap = keep + [lo + 1, lo] + list(range(lo + 2, hi)) + rest
+        cycle = keep + list(range(lo + 1, hi)) + [lo] + rest
+        moves += [(itemgetter(*swap), name), (itemgetter(*cycle), name)]
+    terms = poly.terms
+    for exp, c in terms.items():
+        for move, name in moves:
+            image = move(exp)
+            if terms.get(image, 0) != c:
+                raise AsymmetryError(exp, image, block=name)
+
+
 def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
     """Read a polynomial symmetric in each variable block off in the product
-    of the blocks' Schur bases; ``blocks`` and the symmetry check are those
-    of block_mterms, and a coefficient that cancels to 0 is left out.
+    of the blocks' Schur bases; a coefficient that cancels to 0 is left out.
+
+    ``blocks`` lists (size, name) pairs covering the variables in order.  The
+    polynomial must be invariant under a swap and a cycle of each block;
+    otherwise AsymmetryError names a term, its image and the block.
 
     With delta = (s-1, ..., 0) in a block of size s, f * a_delta is the
     antisymmetrisation of f * x^delta, and s_la = a_(la+delta)/a_delta
@@ -144,8 +124,9 @@ def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...
     c x^alpha whose alpha+delta has distinct entries in every block adds
     sgn(sigma) c at sort(alpha+delta) - delta, sigma sorting each block.
     """
-    block_mterms(poly, blocks)
-    steps = [(lo, hi, range(hi - lo)[::-1]) for lo, hi, _ in _cuts(blocks, poly.var_count)]
+    cuts = _cuts(blocks, poly.var_count)
+    _check_symmetric(poly, cuts)
+    steps = [(lo, hi, range(hi - lo)[::-1]) for lo, hi, _ in cuts]
     out: dict[tuple[Partition, ...], int] = {}
     for exp, c in poly.terms.items():
         key = ()
@@ -168,22 +149,18 @@ def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...
     return {key: c for key, c in out.items() if c}
 
 
-def _orbit_size(exp: tuple[int, ...], cuts) -> int:
-    """Number of exponent vectors reached by permuting within each block."""
-    size = 1
-    for lo, hi, _ in cuts:
-        size *= factorial(hi - lo)
-        for mult in Counter(exp[lo:hi]).values():
-            size //= factorial(mult)
-    return size
-
-
 def to_mvector(p: MonomialPoly) -> MVector:
-    """Read a symmetric polynomial off in the monomial-symmetric basis; see
-    block_mterms for the symmetry check and its witness."""
+    """Read a symmetric polynomial off in the monomial-symmetric basis: m_la
+    has the coefficient of x^la.  The symmetry check is that of block_schur
+    with one block."""
+    _check_symmetric(p, [(0, p.var_count, None)])
     return MVector(
         p.var_count,
-        {la: c for (la,), c in block_mterms(p, [(p.var_count, None)]).items()},
+        {
+            tuple(x for x in exp if x): c
+            for exp, c in p.terms.items()
+            if all(map(ge, exp, exp[1:]))
+        },
     )
 
 

@@ -39,6 +39,13 @@ def test_ep_subset_known_values():
         ep_subset(3, 2, -1)
 
 
+def test_ep_subset_results_do_not_share_cached_state():
+    first = ep_subset(4, 2, 3)
+    expected = dict(first.terms)
+    first.terms.clear()
+    assert ep_subset(4, 2, 3).terms == expected
+
+
 def test_ep_subset_large_golden():
     expected = {
         (6, 3, 1): 1,

@@ -51,6 +51,25 @@ def test_schur_from_poly_rejects_an_incomplete_orbit():
     assert sorted(present) == sorted(absent)
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # x1 + x2: invariant under the swap of x1, x2 only
+        {(1, 0, 0): 1, (0, 1, 0): 1},
+        # x1^2*x2 + x2^2*x3 + x3^2*x1: invariant under the cycle only
+        {(2, 1, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1},
+    ],
+)
+def test_schur_from_poly_rejects_a_one_generator_invariant(terms):
+    p = MonomialPoly(3, terms)
+    with pytest.raises(AsymmetryError) as err:
+        schur_from_poly(p)
+    assert err.value.block is None
+    present, image = err.value.witness
+    assert present in p.terms
+    assert sorted(present) == sorted(image)
+
+
 def test_schur_vector_sum_drops_cancelled_terms():
     a = SchurVector(2, {(2,): 1, (1, 1): 2})
     assert (a + SchurVector(2, {(1, 1): -2})).terms == {(2,): 1}
@@ -138,8 +157,8 @@ def test_schur_from_poly_inhomogeneous():
 
 
 @st.composite
-def mvector_strategy(draw):
-    var_count = draw(st.integers(min_value=1, max_value=4))
+def mvector_strategy(draw, min_vars=1):
+    var_count = draw(st.integers(min_value=min_vars, max_value=4))
     size = draw(st.integers(min_value=0, max_value=6))
     terms = {}
     for la in partitions_up_to(size, var_count):
@@ -159,3 +178,18 @@ def test_round_trip_property(v):
 @given(mvector_strategy())
 def test_expand_then_extract(v):
     assert to_mvector(mvector_expand(v)).terms == v.terms
+
+
+@settings(deadline=None)
+@given(mvector_strategy(min_vars=2), st.data())
+def test_a_changed_coefficient_is_rejected(v, data):
+    terms = dict(mvector_expand(v).terms)
+    fresh = st.lists(
+        st.integers(min_value=0, max_value=3), min_size=v.var_count, max_size=v.var_count
+    ).map(tuple)
+    moved = sorted(exp for exp in terms if len(set(exp)) > 1)
+    where = st.sampled_from(moved) | fresh if moved else fresh
+    exp = data.draw(where.filter(lambda e: len(set(e)) > 1))
+    terms[exp] = terms.get(exp, 0) + data.draw(st.integers(-3, 3).filter(bool))
+    with pytest.raises(AsymmetryError):
+        to_mvector(MonomialPoly(v.var_count, terms))
