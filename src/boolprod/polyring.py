@@ -108,18 +108,6 @@ class MonomialPoly:
             return MonomialPoly(self.var_count)
         return MonomialPoly(self.var_count, {e: c * v for e, v in self.terms.items()})
 
-    def degree(self) -> int:
-        """Max exponent sum; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def coefficient(self, exponents: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exponents), 0)
-
-    def graded_piece(self, d: int) -> "MonomialPoly":
-        return MonomialPoly(
-            self.var_count, {e: c for e, c in self.terms.items() if sum(e) == d}
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonomialPoly)

@@ -56,11 +56,6 @@ class SchurVector:
         """Terms in the canonical descending partition order."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def graded_piece(self, d: int) -> "SchurVector":
-        return SchurVector(
-            self.var_count, {la: c for la, c in self.terms.items() if sum(la) == d}
-        )
-
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.terms.values())
 

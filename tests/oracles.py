@@ -119,6 +119,16 @@ def brute_complement_count(n, p):
     return hits
 
 
+def graded_piece(terms, d):
+    """The degree-d part of a terms dict keyed by exponents or partitions."""
+    return {key: c for key, c in terms.items() if sum(key) == d}
+
+
+def total_degree(terms):
+    """Largest exponent sum in a terms dict; -1 when it is empty."""
+    return max((sum(key) for key in terms), default=-1)
+
+
 def brute_partitions(d, max_parts):
     """All partitions of d with at most max_parts parts, as a set."""
     found = set()

@@ -162,9 +162,13 @@ def test_capacity_errors_exit_3(capsys):
     assert code == 3
     assert err.startswith("capacity:")
 
-    code, _, err = run_cli(capsys, "charpoly", "--n", "6")
+    code, _, err = run_cli(capsys, "charpoly", "--n", "7")
     assert code == 3
     assert "allow-long" in err
+
+    code, _, err = run_cli(capsys, "charpoly", "--n", "8", "--allow-long")
+    assert code == 3
+    assert err.startswith("capacity:")
 
 
 def test_consistency_errors_exit_4(capsys, monkeypatch):

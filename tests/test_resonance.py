@@ -22,6 +22,10 @@ FROZEN_CHI = {
     4: (104, -170, 80, -15, 1),
 }
 FROZEN_CHI_5 = (-3485, 5270, -2130, 375, -31, 1)
+FROZEN_CHI_6 = (371909, -510524, 159460, -22435, 1652, -63, 1)
+FROZEN_CHI_7 = (
+    -135677633, 169824305, -37769977, 3831835, -215439, 7035, -127, 1
+)
 
 
 def test_valid_primes_lists():
@@ -61,7 +65,9 @@ def test_complement_count_rejects_bad_inputs():
     with pytest.raises(ValueError):
         complement_count(0, 5)
     with pytest.raises(CapacityError):
-        complement_count(7, 29)
+        complement_count(8, 97)
+    with pytest.raises(ValueError, match="below the validity bound"):
+        complement_count(7, 29)  # the bound at n=7 is 32
     with pytest.raises(ValueError):
         complement_count(2, 4)
     with pytest.raises(ValueError, match="below the validity bound"):
@@ -95,6 +101,16 @@ def test_charpoly_invariants_enforced():
         CharPoly((1, -3, 1))  # chi(1) != 0
 
 
+def test_charpoly_whitney_check():
+    # Whitney's t^(n-2) coefficient for n = 2..7 sits third from the top
+    goldens = [*FROZEN_CHI.values(), FROZEN_CHI_5, FROZEN_CHI_6, FROZEN_CHI_7]
+    assert [c[-3] for c in goldens[1:]] == [2, 15, 80, 375, 1652, 7035]
+    # chi_4 with t^2 moved by one and the constant moved back: monic, the
+    # right t^3 coefficient and chi(1) = 0, so only Whitney rejects it
+    with pytest.raises(ConsistencyError, match="Whitney"):
+        CharPoly((103, -170, 81, -15, 1))
+
+
 def test_two_methods_agree():
     for n in range(1, 5):
         assert charpoly_ff(n).coeffs == charpoly_mobius(n).coeffs
@@ -121,9 +137,9 @@ def test_method_capacity_limits():
     with pytest.raises(CapacityError):
         charpoly_mobius(5)
     with pytest.raises(CapacityError, match="allow_long"):
-        charpoly_ff(6)
+        charpoly_ff(7)
     with pytest.raises(CapacityError):
-        charpoly_ff(7, allow_long=True)
+        charpoly_ff(8, allow_long=True)
 
 
 def test_n5_regression_long():
@@ -131,3 +147,22 @@ def test_n5_regression_long():
     assert chi.coeffs == FROZEN_CHI_5
     assert regions(5) == 11292
     assert bounded_regions(5) == 0
+
+
+def test_n6_charpoly_and_regions():
+    chi = charpoly_ff(6)
+    assert chi.coeffs == FROZEN_CHI_6
+    assert regions(6) == 1066044  # OEIS A034997
+
+
+def test_n6_count_matches_chi_at_every_prime():
+    # 37, 41 and 43 lie outside the fit (17, 19, 23, 29 and holdout 31)
+    chi = CharPoly(FROZEN_CHI_6)
+    for p in valid_primes(6, 8):
+        assert complement_count(6, p) == chi(p)
+
+
+def test_n7_frozen_chi():
+    chi = CharPoly(FROZEN_CHI_7)
+    assert (-1) ** 7 * chi(-1) == 347326352  # OEIS A034997
+    assert complement_count(7, 37) == chi(37)
