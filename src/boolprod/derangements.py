@@ -105,8 +105,4 @@ def frobenius_dimension(v: SchurVector, q0: int) -> int:
     sizes = {sum(la) for la in v.terms}
     if len(sizes) > 1:
         raise ValueError(f"mixed partition sizes {sorted(sizes)} have no dimension")
-    total = 0
-    for la, c in v.terms.items():
-        value = c(q0) if isinstance(c, QPoly) else c
-        total += value * num_syt(la)
-    return total
+    return sum(c * num_syt(la) for la, c in specialize_q(v, q0).terms.items())

@@ -5,12 +5,11 @@
 paths and never touches the determinant code, so the two are independent
 routes to one number.  ``lascoux_check`` assembles both sides of the classical
 identity expressing the product of (1 + x_i + x_j) over pairs in the Schur
-basis with binomial-determinant coefficients, using exact rationals for the
-power-of-two prefactor.
+basis with binomial-determinant coefficients, dividing out the power-of-two
+prefactor exactly.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import CapacityError, ConsistencyError
@@ -150,9 +149,9 @@ def lascoux_check(n: int, kind: str) -> LascouxReport:
     lhs: every graded piece of prod (1 + x_i + x_j) over pairs (strict pairs
     for 'exterior', weak pairs for 'symmetric'), via elementary expansion of
     the pair-sum alphabet.  rhs: 2^(-C(n,2)) * sum over mu inside the
-    staircase of binomial_det(staircase, mu, n) * 2^|mu| * s_mu, assembled in
-    exact rational arithmetic.  Raises ConsistencyError if any rhs coefficient
-    fails to be an integer or the two sides differ.
+    staircase of binomial_det(staircase, mu, n) * 2^|mu| * s_mu, each
+    coefficient an exact integer division.  Raises ConsistencyError if any rhs
+    coefficient fails to be an integer or the two sides differ.
     """
     if not 2 <= n <= 5:
         raise CapacityError(f"supported range is 2 <= n <= 5, got {n}")
@@ -165,13 +164,14 @@ def lascoux_check(n: int, kind: str) -> LascouxReport:
     denom = 2 ** comb(n, 2)
     rhs_terms: dict[Partition, int] = {}
     for mu in subpartitions(delta):
-        coeff = Fraction(binomial_det(delta, mu, n) * 2 ** sum(mu), denom)
-        if coeff.denominator != 1:
+        num = binomial_det(delta, mu, n) * 2 ** sum(mu)
+        q, r = divmod(num, denom)
+        if r:
             raise ConsistencyError(
-                f"rhs coefficient of s_{mu} is not integral: {coeff}"
+                f"rhs coefficient of s_{mu} is not integral: {num}/{denom}"
             )
-        if coeff:
-            rhs_terms[mu] = int(coeff)
+        if q:
+            rhs_terms[mu] = q
     rhs = SchurVector(n, rhs_terms)
 
     report = LascouxReport(n, kind, lhs, rhs)

@@ -166,9 +166,10 @@ def test_capacity_errors_exit_3(capsys):
     assert code == 3
     assert "allow-long" in err
 
-    code, _, err = run_cli(capsys, "charpoly", "--n", "8", "--allow-long")
-    assert code == 3
-    assert err.startswith("capacity:")
+    for args in (("--n", "8", "--allow-long"), ("--n", "5", "--method", "mobius")):
+        code, _, err = run_cli(capsys, "charpoly", *args)
+        assert code == 3
+        assert err.startswith("capacity:")
 
 
 def test_consistency_errors_exit_4(capsys, monkeypatch):

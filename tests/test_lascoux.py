@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from boolprod.boolean import boolean_product
-from boolprod.errors import CapacityError
+from boolprod.errors import CapacityError, ConsistencyError
 from boolprod.lascoux import GVConfig, binomial_det, gv_count, lascoux_check
 from boolprod.tableaux import staircase, subpartitions
 from oracles import graded_piece, naive_det
@@ -99,6 +99,13 @@ def test_lascoux_all_supported():
             report = lascoux_check(n, kind)
             assert report.equal
             assert report.lhs.is_nonnegative()
+
+
+def test_lascoux_rejects_non_integral_rhs(monkeypatch):
+    # a determinant of 1 leaves 2^|mu| / 2^C(n,2) fractional at mu = ()
+    monkeypatch.setattr("boolprod.lascoux.binomial_det", lambda la, mu, n: 1)
+    with pytest.raises(ConsistencyError, match="not integral"):
+        lascoux_check(3, "exterior")
 
 
 def test_lascoux_top_grade_is_pair_product():
