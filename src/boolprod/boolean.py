@@ -1,20 +1,19 @@
 """Subset-sum alphabets and Schur expansions of their products.
 
 The (n,k) product is the product of the subset sums x_S over all k-subsets S
-of {1..n}; the total product multiplies these over every k.  Everything is
-expanded exactly in monomial space and read off in the Schur basis by
-antisymmetrisation (schur.block_schur); no Schur-basis multiplication rule is
-used anywhere.
+of {1..n}; the total product multiplies these over every k.  Both are read
+off in the Schur basis from their dominant coefficients alone
+(schur.schur_of_product), so the full product is never built; the elementary
+slices of ep_subset are expanded in monomial space and read off by
+antisymmetrisation (schur.block_schur).  No Schur-basis multiplication rule
+is used anywhere.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .errors import CapacityError
-from .polyring import Alphabet, MonomialPoly, alphabet_product, graded_elementary
-from .schur import SchurVector, schur_from_poly
-
-TOTAL_PRODUCT_MAX_N = 5  # degree 2^n - 1 blows up quickly past this
+from .polyring import Alphabet, MonomialPoly, check_fold_capacity, graded_elementary
+from .schur import SchurVector, schur_from_poly, schur_of_product
 
 
 def subset_alphabet(n: int, k: int) -> Alphabet:
@@ -44,17 +43,14 @@ def ep_subset(n: int, k: int, p: int) -> SchurVector:
 
 def boolean_product(n: int, k: int) -> SchurVector:
     """Schur expansion of the (n,k) product; homogeneous of degree C(n,k)."""
-    return schur_from_poly(alphabet_product(subset_alphabet(n, k)))
+    return schur_of_product(subset_alphabet(n, k))
 
 
 def total_boolean(n: int) -> SchurVector:
     """Schur expansion of the total product over k = 1..n, degree 2^n - 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > TOTAL_PRODUCT_MAX_N:
-        raise CapacityError(
-            f"total product supported up to n={TOTAL_PRODUCT_MAX_N} "
-            f"(degree 2^n - 1 = {2**n - 1} at n={n})"
-        )
+    # before the 2^n - 1 forms are built
+    check_fold_capacity(n, 2**n - 1)
     subsets = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
-    return schur_from_poly(alphabet_product(Alphabet.from_subsets(n, subsets)))
+    return schur_of_product(Alphabet.from_subsets(n, subsets))

@@ -16,13 +16,22 @@ class ConsistencyError(Exception):
 
 
 class AsymmetryError(ConsistencyError):
-    """A polynomial expected to be symmetric is not; carries a witness pair."""
+    """A polynomial expected to be symmetric is not; carries a witness pair:
+    two exponent vectors, or with forms=True two linear forms of an alphabet
+    whose product should be symmetric."""
 
-    def __init__(self, exp_a, exp_b, block: str | None = None):
+    def __init__(self, exp_a, exp_b, block: str | None = None, forms: bool = False):
         self.witness = (exp_a, exp_b)
         self.block = block
         where = f" in the {block} block" if block else ""
-        super().__init__(
-            f"polynomial is not symmetric{where}: coefficient of x^{exp_a} "
-            f"differs from coefficient of x^{exp_b}"
-        )
+        if forms:
+            detail = (
+                f"alphabet is not symmetric{where}: form {exp_a} and its image "
+                f"{exp_b} occur a different number of times"
+            )
+        else:
+            detail = (
+                f"polynomial is not symmetric{where}: coefficient of x^{exp_a} "
+                f"differs from coefficient of x^{exp_b}"
+            )
+        super().__init__(detail)

@@ -6,12 +6,22 @@ constructor, so intermediate term dicts may hold zeros until wrapped.
 Products of many factors are multiplied in one factor at a time: a partial
 product of forms in a few variables fills almost every monomial of its
 degree, so a balanced tree's root multiply would cost far more.
+
+``dominant_coefficients`` reads only the coefficients of x^mu, mu a
+partition, off a product of linear forms, without building the product: it
+folds a third of the forms and the rest separately over exponent vectors
+packed into ints, and takes one dot product per mu.  ``alphabet_product``
+builds the full product, for callers that need every monomial and for tests.
 ``QPoly`` is the dense univariate type, trimmed of trailing zeros.
 """
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from math import comb
 from operator import add
+
+from .errors import CapacityError
+from .tableaux import Partition, partitions_up_to
 
 # A linear form is its coefficient vector over the ambient variables,
 # e.g. x2 + x3 in 3 variables is (0, 1, 1).
@@ -169,6 +179,78 @@ def graded_elementary(a: Alphabet, cap: int | None = None) -> list[MonomialPoly]
         for p in range(top, 0, -1):
             _mul_into(es[p], form, es[p - 1])
     return [MonomialPoly(a.var_count, terms) for terms in es]
+
+
+# Ceiling on the larger fold of dominant_coefficients, counted as every
+# monomial of its degree, which a fold of forms in few variables nearly fills.
+# Measured as CLI runs on a shared 2-core host: boolean-expand (7,4), at
+# 593,775, takes 19-22 s and 146 MB, and (8,6), at 657,800, about 15 s and
+# 164 MB; the total product at n = 6 (1,533,939) and (8,3) (45,379,620) are
+# refused.
+FOLD_MAX_MONOMIALS = 1_000_000
+
+
+def check_fold_capacity(var_count: int, degree: int) -> None:
+    """Raise CapacityError if the larger fold of a product of `degree` linear
+    forms in `var_count` variables may exceed FOLD_MAX_MONOMIALS."""
+    top = degree - degree // 3
+    size = comb(top + var_count - 1, var_count - 1)
+    if size > FOLD_MAX_MONOMIALS:
+        raise CapacityError(
+            f"a product of {degree} forms in {var_count} variables folds into up to "
+            f"C({top + var_count - 1},{var_count - 1}) = {size:,} monomials, "
+            f"above the ceiling of {FOLD_MAX_MONOMIALS:,}"
+        )
+
+
+def _fold(forms: Iterable[LinearForm], width: int) -> dict[int, int]:
+    """Product of linear forms, one factor at a time, over packed exponent
+    vectors: the exponent of x_i sits in the width-bit field at width*i."""
+    acc = {0: 1}
+    for f in forms:
+        steps = [(1 << (width * i), c) for i, c in enumerate(f) if c]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, v in acc.items():
+            for step, c in steps:
+                k = key + step
+                nxt[k] = get(k, 0) + v * c
+        acc = nxt
+    return acc
+
+
+def dominant_coefficients(a: Alphabet) -> dict[Partition, int]:
+    """Coefficient of x^mu in the product of the alphabet's forms, for every
+    partition mu of the degree d = |A| with at most var_count parts; zeros
+    are left out.  A symmetric product is fixed by these.
+
+    The first d//3 forms and the rest are folded separately, and then
+    M[mu] = sum small[alpha] * big[mu - alpha], walking the smaller fold.
+    Each field of a packed key holds a value up to d plus one guard bit, so
+    with every guard bit set in G, mu - alpha is borrow-free (alpha <= mu in
+    every variable) iff ((mu | G) - alpha) & G == G.
+    """
+    n, d = a.var_count, len(a.forms)
+    check_fold_capacity(n, d)
+    width = d.bit_length() + 1
+    guard = sum(1 << (width * i + width - 1) for i in range(n))
+    cut = d // 3
+    small = list(_fold(a.forms[:cut], width).items())
+    big = _fold(a.forms[cut:], width)
+    get = big.get
+    out: dict[Partition, int] = {}
+    for mu in partitions_up_to(d, n):
+        top = guard
+        for i, part in enumerate(mu):
+            top |= part << (width * i)
+        total = 0
+        for alpha, c in small:
+            rest = top - alpha
+            if rest & guard == guard:
+                total += c * get(rest ^ guard, 0)
+        if total:
+            out[mu] = total
+    return out
 
 
 @dataclass(frozen=True)

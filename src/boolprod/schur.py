@@ -1,20 +1,26 @@
 """Conversions between monomial-symmetric and Schur bases.
 
-``block_schur`` reads a polynomial symmetric in one variable block or several
-off in the Schur basis by antisymmetrising it against the staircase, after
+One kernel reads terms off in the Schur basis by antisymmetrising them
+against the staircase.  Two feeders drive it: ``block_schur`` feeds every
+monomial of a polynomial symmetric in one variable block or several, after
 checking that the polynomial is invariant under a swap and a cycle of each
-block;
+block; ``schur_from_dominant`` feeds only the rearrangements of dominant
+monomials that survive the antisymmetrisation.  ``schur_of_product`` expands
+a product of linear forms from its dominant coefficients alone, guarded by
+an invariance check on the forms and a principal-specialisation self-check.
 ``schur_to_m`` goes back through Kostka numbers.  ``schur_at_alphabet``
 evaluates a Schur polynomial at the forms of an alphabet through the dual
 Jacobi-Trudi determinant in the alphabet's elementary symmetric polynomials.
 """
 
+from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import permutations
 from operator import add, ge, itemgetter, sub
 
-from .errors import AsymmetryError
-from .polyring import Alphabet, MonomialPoly, graded_elementary
+from .errors import AsymmetryError, ConsistencyError
+from .polyring import Alphabet, MonomialPoly, dominant_coefficients, graded_elementary
 from .tableaux import Partition, conjugate, kostka, partitions_up_to
 
 # (size, name) of each variable block, in variable order
@@ -80,15 +86,9 @@ def _cuts(blocks: Blocks, var_count: int) -> list:
     return cuts
 
 
-def _check_symmetric(poly: MonomialPoly, cuts: list) -> None:
-    """Raise AsymmetryError unless poly is symmetric in each block of cuts.
-
-    S_s is generated by the swap (1 2) and the cycle (1 2 ... s), so it is
-    enough that every term keeps its coefficient under those two
-    permutations of each block of size s >= 2.  The witness is the term's
-    exponent vector and its image, and the error names that block.
-    """
-    n = poly.var_count
+def _moves(cuts: list, n: int) -> list:
+    """(permutation of an n-tuple, block name) for the swap (1 2) and the
+    cycle (1 2 ... s) of each block of size s >= 2; they generate S_s."""
     moves = []
     for lo, hi, name in cuts:
         if hi - lo < 2:
@@ -97,12 +97,35 @@ def _check_symmetric(poly: MonomialPoly, cuts: list) -> None:
         swap = keep + [lo + 1, lo] + list(range(lo + 2, hi)) + rest
         cycle = keep + list(range(lo + 1, hi)) + [lo] + rest
         moves += [(itemgetter(*swap), name), (itemgetter(*cycle), name)]
+    return moves
+
+
+def _check_symmetric(poly: MonomialPoly, cuts: list) -> None:
+    """Raise AsymmetryError unless poly is symmetric in each block of cuts:
+    every term must keep its coefficient under each block's two generators.
+    The witness is the term's exponent vector and its image, and the error
+    names that block.
+    """
+    moves = _moves(cuts, poly.var_count)
     terms = poly.terms
     for exp, c in terms.items():
         for move, name in moves:
             image = move(exp)
             if terms.get(image, 0) != c:
                 raise AsymmetryError(exp, image, block=name)
+
+
+def _check_symmetric_forms(a: Alphabet, cuts: list) -> None:
+    """Raise AsymmetryError unless the multiset of forms is invariant under
+    each block's two generators, which makes the product symmetric in each
+    block.  The witness is a form and its image."""
+    moves = _moves(cuts, a.var_count)
+    counts = Counter(a.forms)
+    for form, c in counts.items():
+        for move, name in moves:
+            image = move(form)
+            if counts[image] != c:
+                raise AsymmetryError(form, image, block=name, forms=True)
 
 
 def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
@@ -121,9 +144,17 @@ def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...
     """
     cuts = _cuts(blocks, poly.var_count)
     _check_symmetric(poly, cuts)
+    return _antisymmetrise(poly.terms.items(), cuts)
+
+
+def _antisymmetrise(terms: Iterable, cuts: list) -> dict[tuple[Partition, ...], int]:
+    """Sum of sgn(sigma) c at sort(alpha+delta) - delta over the terms
+    (alpha, c) whose alpha+delta has distinct entries in every block of
+    cuts, sigma sorting each block descending; zero sums are left out."""
     steps = [(lo, hi, range(hi - lo)[::-1]) for lo, hi, _ in cuts]
-    out: dict[tuple[Partition, ...], int] = {}
-    for exp, c in poly.terms.items():
+    # Keyed by sort(alpha+delta) per block; delta comes off once per key.
+    out: dict[tuple[tuple[int, ...], ...], int] = {}
+    for exp, c in terms:
         key = ()
         for lo, hi, delta in steps:
             part = list(map(add, exp[lo:hi], delta))
@@ -138,10 +169,65 @@ def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...
                     j -= 1
                     c = -c
                 part[j] = a
-            key += (tuple(x for x in map(sub, part, delta) if x),)
+            key += (tuple(part),)
         else:
             out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
+    deltas = [delta for _, _, delta in steps]
+    return {
+        tuple(tuple(x for x in map(sub, part, delta) if x) for part, delta in zip(key, deltas)): c
+        for key, c in out.items()
+        if c
+    }
+
+
+def _staircase_orbit(mu: Partition, n: int) -> list[tuple[int, ...]]:
+    """The distinct rearrangements alpha of mu, padded to n parts, whose
+    alpha + delta has distinct entries.  A depth-first walk places one entry
+    at a time, keeping the entries of alpha + delta placed so far as bits of
+    an int, and prunes as soon as one repeats; the orbit itself is never
+    built.  The last entry is whatever is left of |mu|."""
+    left = Counter(mu)
+    left[0] += n - len(mu)
+    values = sorted(left)
+    counts = [left[v] for v in values]
+    slots = range(len(values))
+    last = n - 1
+    alpha = [0] * n
+    out = []
+
+    def walk(i: int, taken: int, rest: int) -> None:
+        if i == last:
+            if not taken >> rest & 1:
+                alpha[i] = rest
+                out.append(tuple(alpha))
+            return
+        shift = last - i
+        for j in slots:
+            if counts[j]:
+                v = values[j]
+                if not taken >> (v + shift) & 1:
+                    counts[j] -= 1
+                    alpha[i] = v
+                    walk(i + 1, taken | 1 << (v + shift), rest - v)
+                    counts[j] += 1
+
+    walk(0, 0, sum(mu))
+    return out
+
+
+def schur_from_dominant(dominant: Mapping[Partition, int], n: int) -> SchurVector:
+    """Schur expansion of the symmetric polynomial in n variables whose
+    coefficient of x^mu is dominant[mu] for each partition mu.
+
+    A symmetric f is fixed by these, and of its monomials only those whose
+    alpha + delta has distinct entries survive the antisymmetrisation of
+    block_schur; so only they are fed to it, one orbit walk per mu.
+    """
+    terms = (
+        (alpha, c) for mu, c in dominant.items() for alpha in _staircase_orbit(mu, n)
+    )
+    out = _antisymmetrise(terms, [(0, n, None)])
+    return SchurVector(n, {la: c for (la,), c in out.items()})
 
 
 def to_mvector(p: MonomialPoly) -> MVector:
@@ -182,13 +268,58 @@ def schur_to_m(v: SchurVector) -> MVector:
 
 def m_to_schur(v: MVector) -> SchurVector:
     """Unique Schur expansion of a monomial-symmetric combination."""
-    return schur_from_poly(mvector_expand(v))
+    return schur_from_dominant(v.terms, v.var_count)
 
 
 def schur_from_poly(p: MonomialPoly) -> SchurVector:
     """Symmetry check and Schur extraction; see block_schur."""
     terms = block_schur(p, [(p.var_count, None)])
     return SchurVector(p.var_count, {la: c for (la,), c in terms.items()})
+
+
+def _principal_at_two(la: Partition, n: int) -> int:
+    """s_la(1, 2, ..., 2^(n-1)) by the hook-content formula
+    s_la(1, q, ..., q^(n-1)) = q^b(la) prod_u (q^(n+c(u)) - 1)/(q^h(u) - 1),
+    b(la) = sum (i-1) la_i (Stanley, EC2 Thm 7.21.2)."""
+    conj = conjugate(la)
+    num = den = 1
+    for i, row in enumerate(la):
+        for j in range(row):
+            num *= (1 << (n + j - i)) - 1
+            den *= (1 << (row - j + conj[j] - i - 1)) - 1
+    quot, rem = divmod(num, den)
+    if rem:
+        raise ConsistencyError(f"hook-content quotient of {la} in {n} variables is not exact")
+    return quot << sum(i * part for i, part in enumerate(la))
+
+
+def check_principal(v: SchurVector, a: Alphabet) -> None:
+    """Raise ConsistencyError unless v specialises like the product of the
+    alphabet's forms at x_i = 2^(i-1): sum c_la s_la(1, 2, ..., 2^(n-1))
+    must equal prod_f f(1, 2, ..., 2^(n-1))."""
+    want = 1
+    for f in a.forms:
+        want *= sum(c << i for i, c in enumerate(f))
+    got = sum(c * _principal_at_two(la, v.var_count) for la, c in v.terms.items())
+    if got != want:
+        raise ConsistencyError(
+            f"self-check failed: the Schur expansion specialises to {got} at "
+            f"x_i = 2^(i-1), the product of forms to {want}"
+        )
+
+
+def schur_of_product(a: Alphabet) -> SchurVector:
+    """Schur expansion of the product of a symmetric alphabet's forms, read
+    off its dominant coefficients; the full product is never built.
+
+    The multiset of forms must be invariant under S_n, or AsymmetryError
+    names a form and its image.  The result must pass check_principal, or
+    ConsistencyError is raised.
+    """
+    _check_symmetric_forms(a, [(0, a.var_count, None)])
+    v = schur_from_dominant(dominant_coefficients(a), a.var_count)
+    check_principal(v, a)
+    return v
 
 
 def _poly_det(m: list[list[MonomialPoly]], var_count: int) -> MonomialPoly:

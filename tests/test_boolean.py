@@ -1,3 +1,5 @@
+import sys
+from itertools import chain, combinations
 from math import comb
 
 import pytest
@@ -9,7 +11,13 @@ from boolprod.boolean import (
     total_boolean,
 )
 from boolprod.errors import CapacityError
-from boolprod.polyring import MonomialPoly, alphabet_product, graded_elementary
+from boolprod.polyring import (
+    Alphabet,
+    MonomialPoly,
+    alphabet_product,
+    check_fold_capacity,
+    graded_elementary,
+)
 from boolprod.schur import mvector_expand, schur_from_poly, schur_to_m, to_mvector
 from boolprod.tableaux import staircase
 
@@ -149,6 +157,41 @@ def test_total_boolean_degree_and_positivity():
 def test_total_boolean_capacity():
     with pytest.raises(CapacityError):
         total_boolean(6)
+
+
+def test_root_only_products_match_the_full_product():
+    cases = [(n, k) for n in range(1, 7) for k in range(1, n + 1)] + [(7, 2), (7, 6)]
+    for n, k in cases:
+        full = schur_from_poly(alphabet_product(subset_alphabet(n, k)))
+        assert boolean_product(n, k).terms == full.terms, (n, k)
+    for n in range(1, 5):
+        subsets = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
+        full = schur_from_poly(alphabet_product(Alphabet.from_subsets(n, subsets)))
+        assert total_boolean(n).terms == full.terms, n
+
+
+def test_root_only_products_never_build_the_full_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the full product was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("boolprod"):
+            for attr in ("alphabet_product", "mvector_expand"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert boolean_product(5, 3).terms
+    assert total_boolean(4).terms
+
+
+def test_fold_ceiling():
+    # the larger fold of (7,4) has C(30,6) = 593,775 monomials, of (8,3)
+    # C(45,7) = 45,379,620; the total product stops at n = 5
+    check_fold_capacity(7, comb(7, 4))
+    check_fold_capacity(5, 2**5 - 1)
+    with pytest.raises(CapacityError, match="45,379,620"):
+        boolean_product(8, 3)
+    with pytest.raises(CapacityError):
+        check_fold_capacity(6, 2**6 - 1)
 
 
 def test_schur_product_reconversion_route():

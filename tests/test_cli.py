@@ -172,6 +172,13 @@ def test_capacity_errors_exit_3(capsys):
         assert err.startswith("capacity:")
 
 
+def test_boolean_expand_past_the_fold_ceiling_exits_3(capsys):
+    code, out, err = run_cli(capsys, "boolean-expand", "--n", "8", "--k", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity:") and "45,379,620" in err
+
+
 def test_consistency_errors_exit_4(capsys, monkeypatch):
     def broken(n, allow_long=False):
         raise ConsistencyError("forced for the test")

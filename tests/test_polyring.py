@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from boolprod.polyring import (
     Alphabet,
     MonomialPoly,
     alphabet_product,
+    dominant_coefficients,
     graded_elementary,
     poly_product,
 )
@@ -85,6 +88,25 @@ def test_total_chern_identity():
         MonomialPoly.constant(3, 1) + MonomialPoly.from_form(3, f) for f in a.forms
     ]
     assert total == poly_product(shifted, 3)
+
+
+def test_dominant_coefficients_read_the_full_product():
+    # signed forms: the fold of the first third and the rest must cancel alike
+    forms = ((1, 1, 0), (1, -1, 0), (0, 2, 1), (1, 1, 1), (3, 0, 0), (0, 0, 1), (2, 1, 1))
+    terms = expand_forms(forms, 3)
+    want = {}
+    for exp, c in terms.items():
+        if list(exp) == sorted(exp, reverse=True):
+            want[tuple(x for x in exp if x)] = c
+    assert dominant_coefficients(Alphabet(3, forms)) == want
+    assert dominant_coefficients(Alphabet(3, ())) == {(): 1}
+    assert dominant_coefficients(Alphabet(2, ((1, 1), (0, 0)))) == {}
+
+
+def test_packed_fields_hold_a_degree_past_seven_bits():
+    # degree 130 > 127: an exponent needs eight value bits and a guard bit
+    power = dominant_coefficients(Alphabet(2, ((1, 1),) * 130))
+    assert power == {(130 - j, j) if j else (130,): comb(130, j) for j in range(66)}
 
 
 def test_poly_product_matches_left_fold():

@@ -1,19 +1,24 @@
+from itertools import permutations
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boolprod.bialphabet import pjk_expand
-from boolprod.boolean import boolean_product
+from boolprod.boolean import boolean_product, subset_alphabet
 from boolprod.derangements import bnm1_q
-from boolprod.errors import AsymmetryError
+from boolprod.errors import AsymmetryError, ConsistencyError
 from boolprod.lascoux import lascoux_check
-from boolprod.polyring import Alphabet, MonomialPoly
+from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product
 from boolprod.schur import (
     MVector,
     SchurVector,
+    check_principal,
     m_to_schur,
     mvector_expand,
     schur_at_alphabet,
+    schur_from_dominant,
     schur_from_poly,
+    schur_of_product,
     schur_to_m,
     to_mvector,
 )
@@ -108,6 +113,10 @@ def test_round_trip_all_small_partitions():
                 assert m_to_schur(schur_to_m(v)).terms == v.terms
                 w = MVector(var_count, {la: 1})
                 assert schur_to_m(m_to_schur(w)).terms == w.terms
+                # the orbit walk against the read-off of every orbit monomial
+                for u in (w, schur_to_m(v)):
+                    want = schur_from_poly(mvector_expand(u)).terms
+                    assert schur_from_dominant(u.terms, var_count).terms == want
 
 
 def test_schur_polynomial_matches_ssyt_sum():
@@ -172,6 +181,50 @@ def mvector_strategy(draw, min_vars=1):
 @given(mvector_strategy())
 def test_round_trip_property(v):
     assert schur_to_m(m_to_schur(v)).terms == v.terms
+    assert m_to_schur(v).terms == schur_from_poly(mvector_expand(v)).terms
+
+
+def test_an_asymmetric_alphabet_is_refused():
+    # (x1 + x2)(x1 + x3) is symmetric in x2, x3 only
+    with pytest.raises(AsymmetryError, match="alphabet") as err:
+        schur_of_product(Alphabet(3, ((1, 1, 0), (1, 0, 1))))
+    form, image = err.value.witness
+    assert form in ((1, 1, 0), (1, 0, 1))
+    assert sorted(form) == sorted(image) and image != form
+    # a form repeated unevenly breaks the multiset, not the set
+    with pytest.raises(AsymmetryError):
+        schur_of_product(Alphabet(2, ((1, 0), (0, 1), (1, 0))))
+
+
+def test_the_self_check_catches_a_changed_coefficient():
+    a = subset_alphabet(4, 2)
+    v = schur_of_product(a)
+    check_principal(v, a)
+    for la in v.terms:
+        tampered = SchurVector(4, dict(v.terms))
+        tampered.terms[la] += 1
+        with pytest.raises(ConsistencyError, match="self-check"):
+            check_principal(tampered, a)
+    with pytest.raises(ConsistencyError):
+        check_principal(SchurVector(4, {**v.terms, (2, 2, 2): 1}), a)
+
+
+@st.composite
+def symmetric_alphabet(draw):
+    """A union of S_n-orbits of small random forms, at most 12 forms."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    forms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        base = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        forms += sorted(set(permutations(base)))
+    assume(len(forms) <= 12)
+    return Alphabet(n, tuple(forms))
+
+
+@settings(deadline=None)
+@given(symmetric_alphabet())
+def test_root_only_matches_the_full_product(a):
+    assert schur_of_product(a).terms == schur_from_poly(alphabet_product(a)).terms
 
 
 @settings(deadline=None)
