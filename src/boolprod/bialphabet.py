@@ -2,9 +2,11 @@
 
 pjk_expand multiplies every form X_S + Y_T (S a j-subset of the x indices,
 T a k-subset of the y indices) over the concatenated variable set and writes
-the result as sum a_{lm} s_l(X) s_m(Y).  The j = k = 1 case must reproduce
-the dual Cauchy expansion, which dual_cauchy_reference builds directly from
-box complements without touching any polynomial arithmetic.
+the result as sum a_{lm} s_l(X) s_m(Y), read off the product's dominant
+coefficients in the two blocks (schur.schur_of_product) without building it.
+The j = k = 1 case must reproduce the dual Cauchy expansion, which
+dual_cauchy_reference builds directly from box complements without touching
+any polynomial arithmetic.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +14,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import CapacityError, ConsistencyError
-from .polyring import Alphabet, alphabet_product
-from .schur import block_schur
+from .polyring import Alphabet
+from .schur import schur_of_product
 from .tableaux import Partition, conjugate, subpartitions
 
 PJK_FORM_CAP = 30
@@ -46,8 +48,8 @@ class BiSchurVector:
 def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
     """Expand the product of all X_S + Y_T with |S| = j, |T| = k.
 
-    The product is read off in Schur pairs in one pass by block_schur, with
-    the x variables as one block and the y variables as the other.  Negative
+    The product is read off in Schur pairs by schur_of_product, with the x
+    variables as one block and the y variables as the other.  Negative
     output coefficients would contradict the positivity this product is
     known to have, so they are a hard failure.
     """
@@ -66,9 +68,7 @@ def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
     alphabet = Alphabet.from_subsets(
         n + m, (s + t for s in combinations(range(n), j) for t in y_subsets)
     )
-    out = BiSchurVector(
-        n, m, block_schur(alphabet_product(alphabet), [(n, "x"), (m, "y")])
-    )
+    out = BiSchurVector(n, m, schur_of_product(alphabet, [(n, "x"), (m, "y")]))
     if not out.is_nonnegative():
         bad = min(pair for pair, c in out.terms.items() if c < 0)
         raise ConsistencyError(

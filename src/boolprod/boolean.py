@@ -1,19 +1,19 @@
 """Subset-sum alphabets and Schur expansions of their products.
 
 The (n,k) product is the product of the subset sums x_S over all k-subsets S
-of {1..n}; the total product multiplies these over every k.  Both are read
-off in the Schur basis from their dominant coefficients alone
-(schur.schur_of_product), so the full product is never built; the elementary
-slices of ep_subset are expanded in monomial space and read off by
-antisymmetrisation (schur.block_schur).  No Schur-basis multiplication rule
-is used anywhere.
+of {1..n}; the total product multiplies these over every k.  Both, and every
+elementary slice e_p of the (n,k) alphabet at once, are read off in the Schur
+basis from dominant coefficients alone (schur.schur_of_product and
+schur.schur_of_graded_product), so no full product is ever built.  No
+Schur-basis multiplication rule is used anywhere.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .polyring import Alphabet, MonomialPoly, check_fold_capacity, graded_elementary
-from .schur import SchurVector, schur_from_poly, schur_of_product
+from .polyring import Alphabet, check_fold_capacity
+from .schur import SchurVector, schur_of_graded_product, schur_of_product
+from .tableaux import Partition
 
 
 def subset_alphabet(n: int, k: int) -> Alphabet:
@@ -23,11 +23,11 @@ def subset_alphabet(n: int, k: int) -> Alphabet:
     return Alphabet.from_subsets(n, combinations(range(n), k))
 
 
-# The cached polynomials are mutable, so they are only read (by ep_subset,
-# through schur_from_poly) and never handed to a caller.
+# One read-off serves every slice e_p of an (n,k) alphabet.  It is cached as
+# (partition, coefficient) pairs, so no caller can change another's result.
 @lru_cache(maxsize=None)
-def _graded_subset_elementary(n: int, k: int) -> tuple[MonomialPoly, ...]:
-    return tuple(graded_elementary(subset_alphabet(n, k)))
+def _graded_subset_terms(n: int, k: int) -> tuple[tuple[Partition, int], ...]:
+    return tuple(schur_of_graded_product(subset_alphabet(n, k)).terms.items())
 
 
 def ep_subset(n: int, k: int, p: int) -> SchurVector:
@@ -35,15 +35,17 @@ def ep_subset(n: int, k: int, p: int) -> SchurVector:
     (n,k) subset-sum alphabet; zero vector for p past the alphabet size."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    graded = _graded_subset_elementary(n, k)
-    if p >= len(graded):
-        return SchurVector(n)
-    return schur_from_poly(graded[p])
+    return SchurVector(n, {la: c for la, c in _graded_subset_terms(n, k) if sum(la) == p})
+
+
+def _schur_of_product(a: Alphabet) -> SchurVector:
+    n = a.var_count
+    return SchurVector(n, {la: c for (la,), c in schur_of_product(a, [(n, None)]).items()})
 
 
 def boolean_product(n: int, k: int) -> SchurVector:
     """Schur expansion of the (n,k) product; homogeneous of degree C(n,k)."""
-    return schur_of_product(subset_alphabet(n, k))
+    return _schur_of_product(subset_alphabet(n, k))
 
 
 def total_boolean(n: int) -> SchurVector:
@@ -53,4 +55,4 @@ def total_boolean(n: int) -> SchurVector:
     # before the 2^n - 1 forms are built
     check_fold_capacity(n, 2**n - 1)
     subsets = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
-    return schur_of_product(Alphabet.from_subsets(n, subsets))
+    return _schur_of_product(Alphabet.from_subsets(n, subsets))

@@ -6,15 +6,16 @@ paths and never touches the determinant code, so the two are independent
 routes to one number.  ``lascoux_check`` assembles both sides of the classical
 identity expressing the product of (1 + x_i + x_j) over pairs in the Schur
 basis with binomial-determinant coefficients, dividing out the power-of-two
-prefactor exactly.
+prefactor exactly; the product side is read off its dominant coefficients
+without being built.
 """
 
 from dataclasses import dataclass
 from math import comb
 
 from .errors import CapacityError, ConsistencyError
-from .polyring import Alphabet, graded_elementary
-from .schur import SchurVector, schur_from_poly
+from .polyring import Alphabet
+from .schur import SchurVector, schur_of_graded_product
 from .tableaux import Partition, contains, staircase, subpartitions
 
 GV_SUM_CAP = 30  # cap on sum of start heights for the path enumeration
@@ -147,18 +148,15 @@ def lascoux_check(n: int, kind: str) -> LascouxReport:
     """Verify the pair-product total Chern class identity at a given n.
 
     lhs: every graded piece of prod (1 + x_i + x_j) over pairs (strict pairs
-    for 'exterior', weak pairs for 'symmetric'), via elementary expansion of
-    the pair-sum alphabet.  rhs: 2^(-C(n,2)) * sum over mu inside the
+    for 'exterior', weak pairs for 'symmetric'), read off root-only by
+    schur_of_graded_product.  rhs: 2^(-C(n,2)) * sum over mu inside the
     staircase of binomial_det(staircase, mu, n) * 2^|mu| * s_mu, each
     coefficient an exact integer division.  Raises ConsistencyError if any rhs
     coefficient fails to be an integer or the two sides differ.
     """
     if not 2 <= n <= 5:
         raise CapacityError(f"supported range is 2 <= n <= 5, got {n}")
-    alphabet = _pair_alphabet(n, kind)
-    lhs = SchurVector(n)
-    for piece in graded_elementary(alphabet):
-        lhs = lhs + schur_from_poly(piece)
+    lhs = schur_of_graded_product(_pair_alphabet(n, kind))
 
     delta = staircase(n - 1 if kind == "exterior" else n)
     denom = 2 ** comb(n, 2)

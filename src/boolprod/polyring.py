@@ -8,10 +8,11 @@ product of forms in a few variables fills almost every monomial of its
 degree, so a balanced tree's root multiply would cost far more.
 
 ``dominant_coefficients`` reads only the coefficients of x^mu, mu a
-partition, off a product of linear forms, without building the product: it
-folds a third of the forms and the rest separately over exponent vectors
-packed into ints, and takes one dot product per mu.  ``alphabet_product``
-builds the full product, for callers that need every monomial and for tests.
+partition in each variable block, off a product of linear forms, without
+building the product: it folds a third of the forms and the rest separately
+over exponent vectors packed into ints, and takes one dot product per mu.
+``alphabet_product`` and ``graded_elementary`` build full products, for
+callers that need every monomial and for tests.
 ``QPoly`` is the dense univariate type, trimmed of trailing zeros.
 """
 
@@ -26,6 +27,9 @@ from .tableaux import Partition, partitions_up_to
 # A linear form is its coefficient vector over the ambient variables,
 # e.g. x2 + x3 in 3 variables is (0, 1, 1).
 LinearForm = tuple[int, ...]
+
+# (size, name) of each variable block, in variable order
+Blocks = list[tuple[int, str | None]]
 
 
 @dataclass(frozen=True)
@@ -219,10 +223,23 @@ def _fold(forms: Iterable[LinearForm], width: int) -> dict[int, int]:
     return acc
 
 
-def dominant_coefficients(a: Alphabet) -> dict[Partition, int]:
+def block_cuts(blocks: Blocks, var_count: int) -> list:
+    """(start, stop, name) of each block; the blocks must cover the variables."""
+    cuts = []
+    lo = 0
+    for size, name in blocks:
+        cuts.append((lo, lo + size, name))
+        lo += size
+    if lo != var_count:
+        raise ValueError(f"blocks cover {lo} variables, polynomial has {var_count}")
+    return cuts
+
+
+def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
     """Coefficient of x^mu in the product of the alphabet's forms, for every
-    partition mu of the degree d = |A| with at most var_count parts; zeros
-    are left out.  A symmetric product is fixed by these.
+    mu that is a partition in each block, keyed by one partition per block
+    (at most the block's size parts, sizes summing to the degree d = |A|);
+    zeros are left out.  A product symmetric in each block is fixed by these.
 
     The first d//3 forms and the rest are folded separately, and then
     M[mu] = sum small[alpha] * big[mu - alpha], walking the smaller fold.
@@ -231,6 +248,7 @@ def dominant_coefficients(a: Alphabet) -> dict[Partition, int]:
     every variable) iff ((mu | G) - alpha) & G == G.
     """
     n, d = a.var_count, len(a.forms)
+    cuts = block_cuts(blocks, n)
     check_fold_capacity(n, d)
     width = d.bit_length() + 1
     guard = sum(1 << (width * i + width - 1) for i in range(n))
@@ -238,18 +256,24 @@ def dominant_coefficients(a: Alphabet) -> dict[Partition, int]:
     small = list(_fold(a.forms[:cut], width).items())
     big = _fold(a.forms[cut:], width)
     get = big.get
-    out: dict[Partition, int] = {}
-    for mu in partitions_up_to(d, n):
-        top = guard
-        for i, part in enumerate(mu):
-            top |= part << (width * i)
+    # (key, packed mu | G, size left) for every choice in the blocks so far
+    keys = [((), guard, d)]
+    for b, (lo, hi, _) in enumerate(cuts):
+        keys = [
+            (key + (mu,), top + sum(part << (width * i) for i, part in enumerate(mu, lo)), left - e)
+            for key, top, left in keys
+            for e in (range(left + 1) if b < len(cuts) - 1 else (left,))
+            for mu in partitions_up_to(e, hi - lo)
+        ]
+    out: dict[tuple[Partition, ...], int] = {}
+    for key, top, _ in keys:
         total = 0
         for alpha, c in small:
             rest = top - alpha
             if rest & guard == guard:
                 total += c * get(rest ^ guard, 0)
         if total:
-            out[mu] = total
+            out[key] = total
     return out
 
 

@@ -1,14 +1,17 @@
 """Conversions between monomial-symmetric and Schur bases.
 
-One kernel reads terms off in the Schur basis by antisymmetrising them
-against the staircase.  Two feeders drive it: ``block_schur`` feeds every
-monomial of a polynomial symmetric in one variable block or several, after
-checking that the polynomial is invariant under a swap and a cycle of each
-block; ``schur_from_dominant`` feeds only the rearrangements of dominant
-monomials that survive the antisymmetrisation.  ``schur_of_product`` expands
-a product of linear forms from its dominant coefficients alone, guarded by
-an invariance check on the forms and a principal-specialisation self-check.
-``schur_to_m`` goes back through Kostka numbers.  ``schur_at_alphabet``
+One kernel reads terms off in the Schur basis of one variable block or in
+the product of the Schur bases of several, by antisymmetrising them against
+the staircase.  Two feeders drive it: ``block_schur`` feeds every monomial
+of a polynomial, after checking that it is invariant under a swap and a
+cycle of each block; ``schur_from_dominant`` feeds only the rearrangements
+of dominant monomials, block by block, that survive the antisymmetrisation.
+``schur_of_product`` expands a product of linear forms from its dominant
+coefficients alone, guarded by an invariance check on the forms and a
+principal-specialisation self-check in every block;
+``schur_of_graded_product`` does so for the product of the 1 + f, whose
+degree-p part is e_p of the forms.  ``schur_to_m`` goes back through Kostka
+numbers.  ``schur_at_alphabet``
 evaluates a Schur polynomial at the forms of an alphabet through the dual
 Jacobi-Trudi determinant in the alphabet's elementary symmetric polynomials.
 """
@@ -16,15 +19,14 @@ Jacobi-Trudi determinant in the alphabet's elementary symmetric polynomials.
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import permutations
+from functools import cache
+from itertools import permutations, product
 from operator import add, ge, itemgetter, sub
 
 from .errors import AsymmetryError, ConsistencyError
-from .polyring import Alphabet, MonomialPoly, dominant_coefficients, graded_elementary
+from .polyring import Alphabet, Blocks, MonomialPoly, block_cuts, dominant_coefficients
+from .polyring import graded_elementary
 from .tableaux import Partition, conjugate, kostka, partitions_up_to
-
-# (size, name) of each variable block, in variable order
-Blocks = list[tuple[int, str | None]]
 
 
 @dataclass
@@ -72,18 +74,6 @@ class SchurVector:
         for la, c in other.terms.items():
             terms[la] = terms.get(la, 0) + c
         return SchurVector(self.var_count, terms)
-
-
-def _cuts(blocks: Blocks, var_count: int) -> list:
-    """(start, stop, name) of each block; the blocks must cover the variables."""
-    cuts = []
-    lo = 0
-    for size, name in blocks:
-        cuts.append((lo, lo + size, name))
-        lo += size
-    if lo != var_count:
-        raise ValueError(f"blocks cover {lo} variables, polynomial has {var_count}")
-    return cuts
 
 
 def _moves(cuts: list, n: int) -> list:
@@ -142,7 +132,7 @@ def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...
     c x^alpha whose alpha+delta has distinct entries in every block adds
     sgn(sigma) c at sort(alpha+delta) - delta, sigma sorting each block.
     """
-    cuts = _cuts(blocks, poly.var_count)
+    cuts = block_cuts(blocks, poly.var_count)
     _check_symmetric(poly, cuts)
     return _antisymmetrise(poly.terms.items(), cuts)
 
@@ -185,7 +175,10 @@ def _staircase_orbit(mu: Partition, n: int) -> list[tuple[int, ...]]:
     alpha + delta has distinct entries.  A depth-first walk places one entry
     at a time, keeping the entries of alpha + delta placed so far as bits of
     an int, and prunes as soon as one repeats; the orbit itself is never
-    built.  The last entry is whatever is left of |mu|."""
+    built.  The last entry is whatever is left of |mu|; an empty block has
+    the one empty arrangement."""
+    if not n:
+        return [] if mu else [()]
     left = Counter(mu)
     left[0] += n - len(mu)
     values = sorted(left)
@@ -215,19 +208,27 @@ def _staircase_orbit(mu: Partition, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def schur_from_dominant(dominant: Mapping[Partition, int], n: int) -> SchurVector:
-    """Schur expansion of the symmetric polynomial in n variables whose
-    coefficient of x^mu is dominant[mu] for each partition mu.
+def schur_from_dominant(
+    dominant: Mapping[tuple[Partition, ...], int], blocks: Blocks
+) -> dict[tuple[Partition, ...], int]:
+    """Expansion, as block_schur gives it, of the polynomial symmetric in
+    each block whose coefficient of x^mu is dominant[mu], mu given by one
+    partition per block.
 
-    A symmetric f is fixed by these, and of its monomials only those whose
-    alpha + delta has distinct entries survive the antisymmetrisation of
-    block_schur; so only they are fed to it, one orbit walk per mu.
+    Such an f is fixed by these, and of its monomials only those whose
+    alpha + delta has distinct entries in every block survive the
+    antisymmetrisation of block_schur; so only they are fed to it: the
+    product of the blocks' orbit walks, each walk made once per call.
     """
+    cuts = block_cuts(blocks, sum(size for size, _ in blocks))
+    sizes = [size for size, _ in blocks]
+    orbit = cache(_staircase_orbit)
     terms = (
-        (alpha, c) for mu, c in dominant.items() for alpha in _staircase_orbit(mu, n)
+        (sum(alphas, ()), c)
+        for key, c in dominant.items()
+        for alphas in product(*map(orbit, key, sizes))
     )
-    out = _antisymmetrise(terms, [(0, n, None)])
-    return SchurVector(n, {la: c for (la,), c in out.items()})
+    return _antisymmetrise(terms, cuts)
 
 
 def to_mvector(p: MonomialPoly) -> MVector:
@@ -268,7 +269,9 @@ def schur_to_m(v: SchurVector) -> MVector:
 
 def m_to_schur(v: MVector) -> SchurVector:
     """Unique Schur expansion of a monomial-symmetric combination."""
-    return schur_from_dominant(v.terms, v.var_count)
+    n = v.var_count
+    terms = schur_from_dominant({(mu,): c for mu, c in v.terms.items()}, [(n, None)])
+    return SchurVector(n, {la: c for (la,), c in terms.items()})
 
 
 def schur_from_poly(p: MonomialPoly) -> SchurVector:
@@ -293,33 +296,54 @@ def _principal_at_two(la: Partition, n: int) -> int:
     return quot << sum(i * part for i, part in enumerate(la))
 
 
-def check_principal(v: SchurVector, a: Alphabet) -> None:
-    """Raise ConsistencyError unless v specialises like the product of the
-    alphabet's forms at x_i = 2^(i-1): sum c_la s_la(1, 2, ..., 2^(n-1))
-    must equal prod_f f(1, 2, ..., 2^(n-1))."""
+def check_principal(
+    terms: Mapping[tuple[Partition, ...], int], a: Alphabet, blocks: Blocks
+) -> None:
+    """Raise ConsistencyError unless the expansion in the blocks' Schur bases
+    specialises like the product of the alphabet's forms at x_i = 2^i, i >= 1.
+    A block x_(lo+1), ..., x_(lo+s) then takes s_la to 2^((lo+1)|la|) *
+    s_la(1, 2, ..., 2^(s-1)); the scale keeps a one-variable block off 1,
+    where a term moved between its degrees would not show."""
     want = 1
     for f in a.forms:
-        want *= sum(c << i for i, c in enumerate(f))
-    got = sum(c * _principal_at_two(la, v.var_count) for la, c in v.terms.items())
+        want *= sum(c << i for i, c in enumerate(f, 1))
+    cuts = block_cuts(blocks, a.var_count)
+    principal = cache(_principal_at_two)
+    got = 0
+    for key, c in terms.items():
+        for (lo, hi, _), la in zip(cuts, key):
+            c *= principal(la, hi - lo) << (lo + 1) * sum(la)
+        got += c
     if got != want:
         raise ConsistencyError(
             f"self-check failed: the Schur expansion specialises to {got} at "
-            f"x_i = 2^(i-1), the product of forms to {want}"
+            f"x_i = 2^i, the product of forms to {want}"
         )
 
 
-def schur_of_product(a: Alphabet) -> SchurVector:
-    """Schur expansion of the product of a symmetric alphabet's forms, read
-    off its dominant coefficients; the full product is never built.
+def schur_of_product(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
+    """Expansion, as block_schur gives it, of the product of the alphabet's
+    forms, read off its dominant coefficients; the product is never built.
 
-    The multiset of forms must be invariant under S_n, or AsymmetryError
-    names a form and its image.  The result must pass check_principal, or
-    ConsistencyError is raised.
+    The multiset of forms must be invariant under the symmetric group of
+    each block, or AsymmetryError names a form and its image.  The result
+    must pass check_principal, or ConsistencyError is raised.
     """
-    _check_symmetric_forms(a, [(0, a.var_count, None)])
-    v = schur_from_dominant(dominant_coefficients(a), a.var_count)
-    check_principal(v, a)
-    return v
+    _check_symmetric_forms(a, block_cuts(blocks, a.var_count))
+    out = schur_from_dominant(dominant_coefficients(a, blocks), blocks)
+    check_principal(out, a, blocks)
+    return out
+
+
+def schur_of_graded_product(a: Alphabet) -> SchurVector:
+    """Schur expansion of the product of 1 + f over the alphabet's forms f,
+    whose part of degree p is e_p of the alphabet: the product of the forms
+    t + f, t a one-variable block, read off by schur_of_product; t's exponent
+    d - p is fixed by p, so dropping it loses nothing."""
+    n = a.var_count
+    homogenised = Alphabet(n + 1, tuple((1,) + f for f in a.forms))
+    terms = schur_of_product(homogenised, [(1, "t"), (n, None)])
+    return SchurVector(n, {la: c for (_, la), c in terms.items()})
 
 
 def _poly_det(m: list[list[MonomialPoly]], var_count: int) -> MonomialPoly:

@@ -4,10 +4,13 @@ from math import comb
 
 import pytest
 
+from itertools import combinations
+
 from boolprod.bialphabet import BiSchurVector, dual_cauchy_reference, pjk_expand
 from boolprod.boolean import boolean_product
+from boolprod.cli import main
 from boolprod.errors import AsymmetryError, CapacityError
-from boolprod.polyring import MonomialPoly
+from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product
 from boolprod.schur import block_schur
 from oracles import schur_poly_direct
 
@@ -47,8 +50,36 @@ def test_pjk_degenerate_blocks():
         (la, ()): c for la, c in boolean_product(3, 2).terms.items()
     }
     assert pjk_expand(0, 2, 0, 1).terms == {((), (1, 1)): 1}
+    assert pjk_expand(2, 0, 1, 0).terms == {((1, 1), ()): 1}
     # both subsets empty: the lone form is the zero polynomial
     assert pjk_expand(2, 2, 0, 0).terms == {}
+
+
+def test_an_empty_block_prints_its_empty_shape(capsys):
+    for argv, want in (
+        (["--n", "0", "--m", "2", "--j", "0", "--k", "1"], "s[-](X) s[1,1](Y)\n"),
+        (["--n", "2", "--m", "0", "--j", "1", "--k", "0"], "s[1,1](X) s[-](Y)\n"),
+    ):
+        assert main(["bialphabet", *argv]) == 0
+        assert capsys.readouterr().out == want
+
+
+def test_root_only_pairs_match_the_full_product():
+    for n in range(4):
+        for m in range(4):
+            if n == m == 0:
+                continue
+            blocks = [(n, "x"), (m, "y")]
+            for j in range(n + 1):
+                for k in range(m + 1):
+                    forms = [
+                        s + tuple(n + i for i in t)
+                        for s in combinations(range(n), j)
+                        for t in combinations(range(m), k)
+                    ]
+                    a = Alphabet.from_subsets(n + m, forms)
+                    want = block_schur(alphabet_product(a), blocks)
+                    assert pjk_expand(n, m, j, k).terms == want, (n, m, j, k)
 
 
 def test_dual_cauchy_reference_small():

@@ -18,6 +18,8 @@ from boolprod.polyring import (
     check_fold_capacity,
     graded_elementary,
 )
+from boolprod.bialphabet import pjk_expand
+from boolprod.lascoux import lascoux_check
 from boolprod.schur import mvector_expand, schur_from_poly, schur_to_m, to_mvector
 from boolprod.tableaux import staircase
 
@@ -170,20 +172,42 @@ def test_root_only_products_match_the_full_product():
         assert total_boolean(n).terms == full.terms, n
 
 
+def test_root_only_slices_match_the_full_product():
+    cases = [(n, k) for n in range(1, 6) for k in range(1, n + 1)] + [(6, 2), (6, 5)]
+    for n, k in cases:
+        for p, piece in enumerate(graded_elementary(subset_alphabet(n, k))):
+            assert ep_subset(n, k, p).terms == schur_from_poly(piece).terms, (n, k, p)
+
+
 def test_root_only_products_never_build_the_full_product(monkeypatch):
-    def refuse(*args):
+    import boolprod.boolean
+
+    def refuse(*args, **kwargs):
         raise AssertionError("the full product was built")
 
     for name, module in list(sys.modules.items()):
         if name.startswith("boolprod"):
-            for attr in ("alphabet_product", "mvector_expand"):
+            for attr in ("alphabet_product", "mvector_expand", "graded_elementary", "block_schur"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
+    # a cached slice would skip the read-off
+    boolprod.boolean._graded_subset_terms.cache_clear()
     assert boolean_product(5, 3).terms
     assert total_boolean(4).terms
+    assert ep_subset(5, 3, 4).terms
+    assert pjk_expand(3, 2, 2, 1).terms
+    assert lascoux_check(4, "symmetric").equal
 
 
 def test_fold_ceiling():
+    # the slices of (n,k) fold t + X_S in n + 1 variables: (6,3) at C(20,6) =
+    # 38,760 and (7,2) at C(21,7) = 116,280 pass, (7,3) at C(31,7) = 2,629,575
+    # does not, whatever p
+    check_fold_capacity(7, comb(6, 3))
+    check_fold_capacity(8, comb(7, 2))
+    for p in (0, 2, 35, 36):
+        with pytest.raises(CapacityError, match="2,629,575"):
+            ep_subset(7, 3, p)
     # the larger fold of (7,4) has C(30,6) = 593,775 monomials, of (8,3)
     # C(45,7) = 45,379,620; the total product stops at n = 5
     check_fold_capacity(7, comb(7, 4))

@@ -179,6 +179,14 @@ def test_boolean_expand_past_the_fold_ceiling_exits_3(capsys):
     assert err.startswith("capacity:") and "45,379,620" in err
 
 
+def test_boolean_expand_slice_past_the_fold_ceiling_exits_3(capsys):
+    # t + X_S in 8 variables: the larger fold of (7,3) may hold C(31,7)
+    code, out, err = run_cli(capsys, "boolean-expand", "--n", "7", "--k", "3", "--p", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity:") and "2,629,575" in err
+
+
 def test_consistency_errors_exit_4(capsys, monkeypatch):
     def broken(n, allow_long=False):
         raise ConsistencyError("forced for the test")

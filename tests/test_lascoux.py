@@ -4,7 +4,15 @@ import pytest
 
 from boolprod.boolean import boolean_product
 from boolprod.errors import CapacityError, ConsistencyError
-from boolprod.lascoux import GVConfig, binomial_det, gv_count, lascoux_check
+from boolprod.lascoux import (
+    GVConfig,
+    _pair_alphabet,
+    binomial_det,
+    gv_count,
+    lascoux_check,
+)
+from boolprod.polyring import graded_elementary
+from boolprod.schur import SchurVector, schur_from_poly
 from boolprod.tableaux import staircase, subpartitions
 from oracles import graded_piece, naive_det
 
@@ -99,6 +107,15 @@ def test_lascoux_all_supported():
             report = lascoux_check(n, kind)
             assert report.equal
             assert report.lhs.is_nonnegative()
+
+
+def test_lascoux_lhs_matches_the_full_product():
+    for n in (2, 3, 4, 5):
+        for kind in ("exterior", "symmetric"):
+            full = SchurVector(n)
+            for piece in graded_elementary(_pair_alphabet(n, kind)):
+                full = full + schur_from_poly(piece)
+            assert lascoux_check(n, kind).lhs.terms == full.terms, (n, kind)
 
 
 def test_lascoux_rejects_non_integral_rhs(monkeypatch):

@@ -94,19 +94,30 @@ def test_dominant_coefficients_read_the_full_product():
     # signed forms: the fold of the first third and the rest must cancel alike
     forms = ((1, 1, 0), (1, -1, 0), (0, 2, 1), (1, 1, 1), (3, 0, 0), (0, 0, 1), (2, 1, 1))
     terms = expand_forms(forms, 3)
-    want = {}
-    for exp, c in terms.items():
-        if list(exp) == sorted(exp, reverse=True):
-            want[tuple(x for x in exp if x)] = c
-    assert dominant_coefficients(Alphabet(3, forms)) == want
-    assert dominant_coefficients(Alphabet(3, ())) == {(): 1}
-    assert dominant_coefficients(Alphabet(2, ((1, 1), (0, 0)))) == {}
+    # one block, and a one-variable block x1 before a block x2, x3
+    for blocks in ([(3, None)], [(1, "t"), (2, None)], [(0, "x"), (3, "y")]):
+        want = {}
+        for exp, c in terms.items():
+            key, lo = (), 0
+            for size, _ in blocks:
+                part = exp[lo : lo + size]
+                if list(part) != sorted(part, reverse=True):
+                    break
+                key += (tuple(x for x in part if x),)
+                lo += size
+            else:
+                want[key] = c
+        assert dominant_coefficients(Alphabet(3, forms), blocks) == want, blocks
+    assert dominant_coefficients(Alphabet(3, ()), [(3, None)]) == {((),): 1}
+    assert dominant_coefficients(Alphabet(2, ((1, 1), (0, 0))), [(2, None)]) == {}
+    with pytest.raises(ValueError, match="blocks cover"):
+        dominant_coefficients(Alphabet(3, forms), [(2, None)])
 
 
 def test_packed_fields_hold_a_degree_past_seven_bits():
     # degree 130 > 127: an exponent needs eight value bits and a guard bit
-    power = dominant_coefficients(Alphabet(2, ((1, 1),) * 130))
-    assert power == {(130 - j, j) if j else (130,): comb(130, j) for j in range(66)}
+    power = dominant_coefficients(Alphabet(2, ((1, 1),) * 130), [(2, None)])
+    assert power == {((130 - j, j) if j else (130,),): comb(130, j) for j in range(66)}
 
 
 def test_poly_product_matches_left_fold():

@@ -1,10 +1,10 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from boolprod.bialphabet import pjk_expand
-from boolprod.boolean import boolean_product, subset_alphabet
+from boolprod.boolean import boolean_product, ep_subset, subset_alphabet
 from boolprod.derangements import bnm1_q
 from boolprod.errors import AsymmetryError, ConsistencyError
 from boolprod.lascoux import lascoux_check
@@ -12,12 +12,15 @@ from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product
 from boolprod.schur import (
     MVector,
     SchurVector,
+    _staircase_orbit,
+    block_schur,
     check_principal,
     m_to_schur,
     mvector_expand,
     schur_at_alphabet,
     schur_from_dominant,
     schur_from_poly,
+    schur_of_graded_product,
     schur_of_product,
     schur_to_m,
     to_mvector,
@@ -114,9 +117,17 @@ def test_round_trip_all_small_partitions():
                 w = MVector(var_count, {la: 1})
                 assert schur_to_m(m_to_schur(w)).terms == w.terms
                 # the orbit walk against the read-off of every orbit monomial
+                blocks = [(var_count, None)]
                 for u in (w, schur_to_m(v)):
-                    want = schur_from_poly(mvector_expand(u)).terms
-                    assert schur_from_dominant(u.terms, var_count).terms == want
+                    want = block_schur(mvector_expand(u), blocks)
+                    dominant = {(mu,): c for mu, c in u.terms.items()}
+                    assert schur_from_dominant(dominant, blocks) == want
+
+
+def test_an_empty_block_has_one_empty_arrangement():
+    assert _staircase_orbit((), 0) == [()]
+    assert _staircase_orbit((1,), 0) == []
+    assert schur_from_dominant({((), (1, 1)): 1}, [(0, "x"), (2, "y")]) == {((), (1, 1)): 1}
 
 
 def test_schur_polynomial_matches_ssyt_sum():
@@ -186,45 +197,143 @@ def test_round_trip_property(v):
 
 def test_an_asymmetric_alphabet_is_refused():
     # (x1 + x2)(x1 + x3) is symmetric in x2, x3 only
+    a = Alphabet(3, ((1, 1, 0), (1, 0, 1)))
     with pytest.raises(AsymmetryError, match="alphabet") as err:
-        schur_of_product(Alphabet(3, ((1, 1, 0), (1, 0, 1))))
+        schur_of_product(a, [(3, None)])
     form, image = err.value.witness
     assert form in ((1, 1, 0), (1, 0, 1))
     assert sorted(form) == sorted(image) and image != form
+    assert schur_of_product(a, [(1, "x"), (2, "y")]) == {
+        ((2,), ()): 1,
+        ((1,), (1,)): 1,
+        ((), (1, 1)): 1,
+    }
     # a form repeated unevenly breaks the multiset, not the set
     with pytest.raises(AsymmetryError):
-        schur_of_product(Alphabet(2, ((1, 0), (0, 1), (1, 0))))
+        schur_of_product(Alphabet(2, ((1, 0), (0, 1), (1, 0))), [(2, None)])
+    # the y block: x1 + y1 alone
+    with pytest.raises(AsymmetryError) as err:
+        schur_of_product(Alphabet(3, ((1, 1, 0),)), [(1, "x"), (2, "y")])
+    assert err.value.block == "y"
+
+
+def tampered(terms, key, move_to=None):
+    """terms with one more at key, or with key's coefficient moved to move_to."""
+    out = dict(terms)
+    if move_to is None:
+        out[key] += 1
+    else:
+        out[move_to] = out.get(move_to, 0) + out.pop(key)
+    return out
 
 
 def test_the_self_check_catches_a_changed_coefficient():
     a = subset_alphabet(4, 2)
-    v = schur_of_product(a)
-    check_principal(v, a)
-    for la in v.terms:
-        tampered = SchurVector(4, dict(v.terms))
-        tampered.terms[la] += 1
+    blocks = [(4, None)]
+    terms = schur_of_product(a, blocks)
+    check_principal(terms, a, blocks)
+    for key in terms:
         with pytest.raises(ConsistencyError, match="self-check"):
-            check_principal(tampered, a)
+            check_principal(tampered(terms, key), a, blocks)
     with pytest.raises(ConsistencyError):
-        check_principal(SchurVector(4, {**v.terms, (2, 2, 2): 1}), a)
+        check_principal({**terms, ((2, 2, 2),): 1}, a, blocks)
+
+
+def test_the_two_block_self_check_catches_a_changed_coefficient():
+    # every X_S + Y_T, |S| = 2 of 3, |T| = 1 of 2
+    a = Alphabet.from_subsets(5, [s + (t,) for s in ((0, 1), (0, 2), (1, 2)) for t in (3, 4)])
+    blocks = [(3, "x"), (2, "y")]
+    terms = schur_of_product(a, blocks)
+    assert terms == block_schur(alphabet_product(a), blocks)
+    for key in terms:
+        with pytest.raises(ConsistencyError, match="self-check"):
+            check_principal(tampered(terms, key), a, blocks)
+    # a term swapped between the blocks, when its shapes are not equal
+    for la, mu in terms:
+        if la != mu and len(la) <= 2 and len(mu) <= 3 and (mu, la) not in terms:
+            with pytest.raises(ConsistencyError):
+                check_principal(tampered(terms, (la, mu), (mu, la)), a, blocks)
+
+
+def graded_terms(a):
+    """The read-off of prod (t + f) behind schur_of_graded_product."""
+    n = a.var_count
+    homogenised = Alphabet(n + 1, tuple((1,) + f for f in a.forms))
+    blocks = [(1, "t"), (n, None)]
+    return homogenised, blocks, schur_of_product(homogenised, blocks)
+
+
+def test_the_graded_self_check_catches_a_coefficient_moved_between_slices():
+    # a one-variable block at x_i = q^(i-1) would specialise to 1 and hide a
+    # move from t^(d-p) s_mu to t^(d-p-1) s_mu; the block's scale must not
+    a = subset_alphabet(4, 2)
+    homogenised, blocks, terms = graded_terms(a)
+    check_principal(terms, homogenised, blocks)
+    assert {la: c for (_, la), c in terms.items()} == schur_of_graded_product(a).terms
+    moved = 0
+    for key in terms:
+        with pytest.raises(ConsistencyError, match="self-check"):
+            check_principal(tampered(terms, key), homogenised, blocks)
+        t, mu = key
+        if t:
+            # from slice p = |mu| to slice p + 1, x shape unchanged
+            lower = ((t[0] - 1,) if t[0] > 1 else (), mu)
+            with pytest.raises(ConsistencyError, match="self-check"):
+                check_principal(tampered(terms, key, lower), homogenised, blocks)
+            moved += 1
+    assert moved == len(terms) - 1
+
+
+def test_a_tampered_read_off_fails_every_caller(monkeypatch):
+    import boolprod.boolean
+    import boolprod.schur
+
+    honest = boolprod.schur.schur_from_dominant
+
+    def off_by_one(dominant, blocks):
+        out = honest(dominant, blocks)
+        out[max(out)] += 1
+        return out
+
+    monkeypatch.setattr(boolprod.schur, "schur_from_dominant", off_by_one)
+    # a cached slice would skip the read-off
+    boolprod.boolean._graded_subset_terms.cache_clear()
+    with pytest.raises(ConsistencyError, match="self-check"):
+        ep_subset(4, 2, 3)
+    with pytest.raises(ConsistencyError, match="self-check"):
+        pjk_expand(2, 2, 1, 1)
+    with pytest.raises(ConsistencyError, match="self-check"):
+        lascoux_check(3, "exterior")
+    with pytest.raises(ConsistencyError, match="self-check"):
+        boolean_product(4, 2)
 
 
 @st.composite
 def symmetric_alphabet(draw):
-    """A union of S_n-orbits of small random forms, at most 12 forms."""
-    n = draw(st.integers(min_value=1, max_value=4))
+    """One or two blocks of at most 4 variables in all, and a union of orbits
+    of small random forms under the blocks' symmetric groups, at most 12
+    forms."""
+    sizes = draw(
+        st.lists(st.integers(0, 3), min_size=1, max_size=2).filter(lambda s: 1 <= sum(s) <= 4)
+    )
+    n = sum(sizes)
     forms = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         base = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        forms += sorted(set(permutations(base)))
+        orbits, lo = [], 0
+        for size in sizes:
+            orbits.append(set(permutations(base[lo : lo + size])))
+            lo += size
+        forms += sorted(sum(parts, ()) for parts in product(*orbits))
     assume(len(forms) <= 12)
-    return Alphabet(n, tuple(forms))
+    return Alphabet(n, tuple(forms)), [(size, str(i)) for i, size in enumerate(sizes)]
 
 
 @settings(deadline=None)
 @given(symmetric_alphabet())
-def test_root_only_matches_the_full_product(a):
-    assert schur_of_product(a).terms == schur_from_poly(alphabet_product(a)).terms
+def test_root_only_matches_the_full_product(case):
+    a, blocks = case
+    assert schur_of_product(a, blocks) == block_schur(alphabet_product(a), blocks)
 
 
 @settings(deadline=None)
