@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 
 from .polyring import Alphabet, check_fold_capacity
-from .schur import SchurVector, schur_of_graded_product, schur_of_product
+from .schur import SchurVector, _one_block, schur_of_graded_product, schur_of_product
 from .tableaux import Partition
 
 
@@ -27,7 +27,10 @@ def subset_alphabet(n: int, k: int) -> Alphabet:
 # (partition, coefficient) pairs, so no caller can change another's result.
 @lru_cache(maxsize=None)
 def _graded_subset_terms(n: int, k: int) -> tuple[tuple[Partition, int], ...]:
-    return tuple(schur_of_graded_product(subset_alphabet(n, k)).terms.items())
+    a = subset_alphabet(n, k)
+    # the forms t + X_S, in n + 1 variables
+    check_fold_capacity(n + 1, len(a))
+    return tuple(schur_of_graded_product(a).terms.items())
 
 
 def ep_subset(n: int, k: int, p: int) -> SchurVector:
@@ -38,14 +41,11 @@ def ep_subset(n: int, k: int, p: int) -> SchurVector:
     return SchurVector(n, {la: c for la, c in _graded_subset_terms(n, k) if sum(la) == p})
 
 
-def _schur_of_product(a: Alphabet) -> SchurVector:
-    n = a.var_count
-    return SchurVector(n, {la: c for (la,), c in schur_of_product(a, [(n, None)]).items()})
-
-
 def boolean_product(n: int, k: int) -> SchurVector:
     """Schur expansion of the (n,k) product; homogeneous of degree C(n,k)."""
-    return _schur_of_product(subset_alphabet(n, k))
+    a = subset_alphabet(n, k)
+    check_fold_capacity(n, len(a))
+    return _one_block(schur_of_product, a, n)
 
 
 def total_boolean(n: int) -> SchurVector:
@@ -55,4 +55,4 @@ def total_boolean(n: int) -> SchurVector:
     # before the 2^n - 1 forms are built
     check_fold_capacity(n, 2**n - 1)
     subsets = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
-    return _schur_of_product(Alphabet.from_subsets(n, subsets))
+    return _one_block(schur_of_product, Alphabet.from_subsets(n, subsets), n)

@@ -196,7 +196,9 @@ FOLD_MAX_MONOMIALS = 1_000_000
 
 def check_fold_capacity(var_count: int, degree: int) -> None:
     """Raise CapacityError if the larger fold of a product of `degree` linear
-    forms in `var_count` variables may exceed FOLD_MAX_MONOMIALS."""
+    forms in `var_count` variables may exceed FOLD_MAX_MONOMIALS.  Callers
+    whose forms fill nearly every monomial check it; pjk_expand's forms are
+    sparse over many variables, so this count would refuse small products."""
     top = degree - degree // 3
     size = comb(top + var_count - 1, var_count - 1)
     if size > FOLD_MAX_MONOMIALS:
@@ -249,7 +251,6 @@ def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, 
     """
     n, d = a.var_count, len(a.forms)
     cuts = block_cuts(blocks, n)
-    check_fold_capacity(n, d)
     width = d.bit_length() + 1
     guard = sum(1 << (width * i + width - 1) for i in range(n))
     cut = d // 3

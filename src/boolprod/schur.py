@@ -231,6 +231,12 @@ def schur_from_dominant(
     return _antisymmetrise(terms, cuts)
 
 
+def _one_block(route, arg, n: int) -> SchurVector:
+    """route(arg, blocks), a block-keyed expansion, over the one block of n
+    variables, as a SchurVector."""
+    return SchurVector(n, {la: c for (la,), c in route(arg, [(n, None)]).items()})
+
+
 def to_mvector(p: MonomialPoly) -> MVector:
     """Read a symmetric polynomial off in the monomial-symmetric basis: m_la
     has the coefficient of x^la.  The symmetry check is that of block_schur
@@ -269,15 +275,13 @@ def schur_to_m(v: SchurVector) -> MVector:
 
 def m_to_schur(v: MVector) -> SchurVector:
     """Unique Schur expansion of a monomial-symmetric combination."""
-    n = v.var_count
-    terms = schur_from_dominant({(mu,): c for mu, c in v.terms.items()}, [(n, None)])
-    return SchurVector(n, {la: c for (la,), c in terms.items()})
+    dominant = {(mu,): c for mu, c in v.terms.items()}
+    return _one_block(schur_from_dominant, dominant, v.var_count)
 
 
 def schur_from_poly(p: MonomialPoly) -> SchurVector:
     """Symmetry check and Schur extraction; see block_schur."""
-    terms = block_schur(p, [(p.var_count, None)])
-    return SchurVector(p.var_count, {la: c for (la,), c in terms.items()})
+    return _one_block(block_schur, p, p.var_count)
 
 
 def _principal_at_two(la: Partition, n: int) -> int:

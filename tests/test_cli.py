@@ -187,6 +187,15 @@ def test_boolean_expand_slice_past_the_fold_ceiling_exits_3(capsys):
     assert err.startswith("capacity:") and "2,629,575" in err
 
 
+def test_sparse_bialphabet_forms_are_not_held_to_the_fold_ceiling(capsys):
+    # 14 forms x1 + y_i in 15 variables: a product of 2^14 monomials, which a
+    # dense count, C(24,14) = 1,961,256, would refuse
+    code, out, err = run_cli(capsys, "bialphabet", "--n", "1", "--m", "14", "--j", "1", "--k", "1")
+    # exit 0 means it matched the dual Cauchy reference: a term per shape in the box
+    assert code == 0 and err == ""
+    assert out.startswith("s[14](X) s[-](Y) + ") and out.count(" + ") == 14
+
+
 def test_consistency_errors_exit_4(capsys, monkeypatch):
     def broken(n, allow_long=False):
         raise ConsistencyError("forced for the test")

@@ -314,7 +314,7 @@ def symmetric_alphabet(draw):
     of small random forms under the blocks' symmetric groups, at most 12
     forms."""
     sizes = draw(
-        st.lists(st.integers(0, 3), min_size=1, max_size=2).filter(lambda s: 1 <= sum(s) <= 4)
+        st.lists(st.integers(0, 4), min_size=1, max_size=2).filter(lambda s: 1 <= sum(s) <= 4)
     )
     n = sum(sizes)
     forms = []
