@@ -28,8 +28,12 @@ def subset_alphabet(n: int, k: int) -> Alphabet:
 @lru_cache(maxsize=None)
 def _graded_subset_terms(n: int, k: int) -> tuple[tuple[Partition, int], ...]:
     a = subset_alphabet(n, k)
-    # the forms t + X_S, in n + 1 variables
-    check_fold_capacity(n + 1, len(a))
+    check_fold_capacity(
+        n + 1,
+        len(a),
+        f"the product of the {len(a)} forms t + X_S in {n + 1} variables behind "
+        f"every e_p of the ({n},{k}) alphabet",
+    )
     return tuple(schur_of_graded_product(a).terms.items())
 
 

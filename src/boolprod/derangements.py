@@ -2,54 +2,59 @@
 
 The vector bnm1_q carries one q-polynomial per Schur term; at q = -1 it
 collapses to the (n, n-1) Boolean product, at q = 0 to the expansion of
-(e_1)^n.  a_coeffs_syt recounts the q = -1 coefficients by a purely
+(e_1)^n.  It is read off one product of forms at q = 2^b, never built;
+alternating_expansion builds the q = -1 sum in full, as an independent
+route.  a_coeffs_syt recounts the q = -1 coefficients by a purely
 combinatorial statistic (standard tableaux whose smallest ascent is even),
 and frobenius_dimension turns any such vector into the dimension of the
 corresponding direct sum of irreducibles.
 """
 
+from math import factorial
+
 from .boolean import subset_alphabet
 from .errors import CapacityError, ConsistencyError
-from .polyring import MonomialPoly, QPoly, graded_elementary, poly_product
-from .schur import SchurVector, schur_from_poly
+from .polyring import Alphabet, MonomialPoly, QPoly, graded_elementary, poly_product
+from .schur import SchurVector, schur_from_poly, schur_of_product
 from .tableaux import num_syt, partitions_up_to, smallest_ascent, syt_list
 
 BNM1_MAX_N = 7
 SYT_COEFF_MAX_N = 8
 
 
-def _layer_vectors(n: int) -> list[SchurVector]:
-    """Schur expansion of e_j(x_1..x_n) * (e_1)^(n-j) for j = 0..n."""
-    base = subset_alphabet(n, 1)
-    elem = graded_elementary(base)
-    e1_powers = [MonomialPoly.constant(n, 1)]
-    for _ in range(n):
-        e1_powers.append(e1_powers[-1] * elem[1])
-    return [schur_from_poly(elem[j] * e1_powers[n - j]) for j in range(n + 1)]
-
-
 def bnm1_q(n: int) -> SchurVector:
     """Schur expansion of sum_j q^j e_j(X) (e_1(X))^(n-j), coefficients QPoly.
 
-    All q-coefficients are nonnegative (each layer is a Pieri product of
-    Schur-positive factors); a negative one is a hard failure.
+    The sum is the product of the forms e_1 + q x_i, i = 1..n.  At q = 2^b it
+    is a product of integer forms, read off by schur_of_product (so the
+    principal-specialisation self-check guards it) and split into n + 1
+    balanced base-2^b digits, the q-coefficients; the full product is never
+    built.  A negative q-coefficient is a hard failure.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > BNM1_MAX_N:
         raise CapacityError(f"q-deformation capped at n={BNM1_MAX_N}, got {n}")
-    layers = _layer_vectors(n)
-    keys = set().union(*(v.terms for v in layers))
+    # The coefficient of q^j s_la, from the Pieri product e_1^(n-j) e_j, counts
+    # a standard tableau of some mu and a vertical strip la/mu of j cells;
+    # filling the strip with n-j+1..n top to bottom makes a standard tableau
+    # of la, and mu and its tableau are read back off it.  So each digit is
+    # at most f^la <= n! < 2^(b-2), and the digits are exact.
+    b = factorial(n).bit_length() + 2
+    base, half = 1 << b, 1 << (b - 1)
+    forms = tuple(tuple(1 + base * (i == j) for j in range(n)) for i in range(n))
     terms = {}
-    for la in keys:
-        terms[la] = QPoly(tuple(layers[j].terms.get(la, 0) for j in range(n + 1)))
-    out = SchurVector(n, terms)
-    bad = [la for la, poly in out.terms.items() if any(c < 0 for c in poly.coeffs)]
-    if bad:
-        raise ConsistencyError(
-            f"negative q-coefficient at {min(bad)} in the n={n} expansion"
-        )
-    return out
+    for (la,), c in schur_of_product(Alphabet(n, forms), [(n, None)]).items():
+        digits = []
+        for _ in range(n + 1):
+            digits.append((c + half) % base - half)
+            c = (c - digits[-1]) >> b
+        if c:
+            raise ConsistencyError(f"the coefficient of {la} in the n={n} expansion passes q^{n}")
+        if min(digits) < 0:
+            raise ConsistencyError(f"negative q-coefficient at {la} in the n={n} expansion")
+        terms[la] = QPoly(tuple(digits))
+    return SchurVector(n, terms)
 
 
 def specialize_q(v: SchurVector, q0: int) -> SchurVector:

@@ -194,16 +194,18 @@ def graded_elementary(a: Alphabet, cap: int | None = None) -> list[MonomialPoly]
 FOLD_MAX_MONOMIALS = 1_000_000
 
 
-def check_fold_capacity(var_count: int, degree: int) -> None:
+def check_fold_capacity(var_count: int, degree: int, product: str | None = None) -> None:
     """Raise CapacityError if the larger fold of a product of `degree` linear
-    forms in `var_count` variables may exceed FOLD_MAX_MONOMIALS.  Callers
-    whose forms fill nearly every monomial check it; pjk_expand's forms are
-    sparse over many variables, so this count would refuse small products."""
+    forms in `var_count` variables may exceed FOLD_MAX_MONOMIALS; `product`
+    names it in the message.  Callers whose forms fill nearly every monomial
+    check it; pjk_expand's forms are sparse over many variables, so this
+    count would refuse small products."""
     top = degree - degree // 3
     size = comb(top + var_count - 1, var_count - 1)
     if size > FOLD_MAX_MONOMIALS:
+        product = product or f"a product of {degree} forms in {var_count} variables"
         raise CapacityError(
-            f"a product of {degree} forms in {var_count} variables folds into up to "
+            f"{product} folds into up to "
             f"C({top + var_count - 1},{var_count - 1}) = {size:,} monomials, "
             f"above the ceiling of {FOLD_MAX_MONOMIALS:,}"
         )

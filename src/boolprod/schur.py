@@ -1,13 +1,13 @@
 """Conversions between monomial-symmetric and Schur bases.
 
-One kernel reads terms off in the Schur basis of one variable block or in
-the product of the Schur bases of several, by antisymmetrising them against
-the staircase.  Two feeders drive it: ``block_schur`` feeds every monomial
-of a polynomial, after checking that it is invariant under a swap and a
-cycle of each block; ``schur_from_dominant`` feeds only the rearrangements
-of dominant monomials, block by block, that survive the antisymmetrisation.
-``schur_of_product`` expands a product of linear forms from its dominant
-coefficients alone, guarded by an invariance check on the forms and a
+One routine, ``schur_from_dominant``, reads a polynomial symmetric in each
+variable block off in the product of the blocks' Schur bases, from its
+coefficients at partitions alone: a signed walk of each partition's
+rearrangements antisymmetrises them against the staircase.  ``block_schur``
+picks those coefficients out of a full polynomial after checking that it is
+invariant under a swap and a cycle of each block; ``schur_of_product`` gets
+them from the dominant coefficients of a product of linear forms, never
+built, guarded by an invariance check on the forms and a
 principal-specialisation self-check in every block;
 ``schur_of_graded_product`` does so for the product of the 1 + f, whose
 degree-p part is e_p of the forms.  ``schur_to_m`` goes back through Kostka
@@ -17,11 +17,12 @@ Jacobi-Trudi determinant in the alphabet's elementary symmetric polynomials.
 """
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations, product
-from operator import add, ge, itemgetter, sub
+from math import prod
+from operator import ge, itemgetter
 
 from .errors import AsymmetryError, ConsistencyError
 from .polyring import Alphabet, Blocks, MonomialPoly, block_cuts, dominant_coefficients
@@ -118,6 +119,20 @@ def _check_symmetric_forms(a: Alphabet, cuts: list) -> None:
                 raise AsymmetryError(form, image, block=name, forms=True)
 
 
+def _dominant_terms(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
+    """Check that poly is symmetric in each block, then pick the terms that
+    fix it: those whose exponent vector is weakly decreasing in every block,
+    keyed by one partition per block."""
+    cuts = block_cuts(blocks, poly.var_count)
+    _check_symmetric(poly, cuts)
+    out = {}
+    for exp, c in poly.terms.items():
+        parts = [exp[lo:hi] for lo, hi, _ in cuts]
+        if all(all(map(ge, part, part[1:])) for part in parts):
+            out[tuple(tuple(x for x in part if x) for part in parts)] = c
+    return out
+
+
 def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
     """Read a polynomial symmetric in each variable block off in the product
     of the blocks' Schur bases; a coefficient that cancels to 0 is left out.
@@ -125,110 +140,90 @@ def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...
     ``blocks`` lists (size, name) pairs covering the variables in order.  The
     polynomial must be invariant under a swap and a cycle of each block;
     otherwise AsymmetryError names a term, its image and the block.
-
-    With delta = (s-1, ..., 0) in a block of size s, f * a_delta is the
-    antisymmetrisation of f * x^delta, and s_la = a_(la+delta)/a_delta
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.3).  So each term
-    c x^alpha whose alpha+delta has distinct entries in every block adds
-    sgn(sigma) c at sort(alpha+delta) - delta, sigma sorting each block.
     """
-    cuts = block_cuts(blocks, poly.var_count)
-    _check_symmetric(poly, cuts)
-    return _antisymmetrise(poly.terms.items(), cuts)
+    return schur_from_dominant(_dominant_terms(poly, blocks), blocks)
 
 
-def _antisymmetrise(terms: Iterable, cuts: list) -> dict[tuple[Partition, ...], int]:
-    """Sum of sgn(sigma) c at sort(alpha+delta) - delta over the terms
-    (alpha, c) whose alpha+delta has distinct entries in every block of
-    cuts, sigma sorting each block descending; zero sums are left out."""
-    steps = [(lo, hi, range(hi - lo)[::-1]) for lo, hi, _ in cuts]
-    # Keyed by sort(alpha+delta) per block; delta comes off once per key.
-    out: dict[tuple[tuple[int, ...], ...], int] = {}
-    for exp, c in terms:
-        key = ()
-        for lo, hi, delta in steps:
-            part = list(map(add, exp[lo:hi], delta))
-            if len(set(part)) < hi - lo:
-                break
-            # Insertion sort, descending; each swap flips the sign.
-            for i in range(1, hi - lo):
-                a = part[i]
-                j = i
-                while j and part[j - 1] < a:
-                    part[j] = part[j - 1]
-                    j -= 1
-                    c = -c
-                part[j] = a
-            key += (tuple(part),)
-        else:
-            out[key] = out.get(key, 0) + c
-    deltas = [delta for _, _, delta in steps]
-    return {
-        tuple(tuple(x for x in map(sub, part, delta) if x) for part, delta in zip(key, deltas)): c
-        for key, c in out.items()
-        if c
-    }
-
-
-def _staircase_orbit(mu: Partition, n: int) -> list[tuple[int, ...]]:
-    """The distinct rearrangements alpha of mu, padded to n parts, whose
-    alpha + delta has distinct entries.  A depth-first walk places one entry
-    at a time, keeping the entries of alpha + delta placed so far as bits of
-    an int, and prunes as soon as one repeats; the orbit itself is never
-    built.  The last entry is whatever is left of |mu|; an empty block has
-    the one empty arrangement."""
+def _signed_orbit(mu: Partition, n: int) -> list[tuple[int, int]]:
+    """The Schur expansion of m_mu in n variables, as (mask, c) pairs, the
+    set bits of mask being the entries of la + delta (see _shape): c sums
+    sgn(sigma) over the distinct rearrangements alpha of mu, padded to n
+    parts, whose alpha + delta has distinct entries and sorts, by sigma, to
+    la + delta.  A depth-first walk places one entry at a time, keeping the
+    entries of alpha + delta placed so far as the bits of mask, and prunes
+    as soon as one repeats; an entry placed after k smaller ones adds k
+    inversions.  The last entry is whatever is left of |mu|; an empty block
+    has the one empty arrangement."""
     if not n:
-        return [] if mu else [()]
+        return [] if mu else [(0, 1)]
     left = Counter(mu)
     left[0] += n - len(mu)
     values = sorted(left)
     counts = [left[v] for v in values]
-    slots = range(len(values))
     last = n - 1
-    alpha = [0] * n
-    out = []
+    sums: dict[int, int] = {}
 
-    def walk(i: int, taken: int, rest: int) -> None:
+    def walk(i: int, taken: int, rest: int, odd: int) -> None:
         if i == last:
-            if not taken >> rest & 1:
-                alpha[i] = rest
-                out.append(tuple(alpha))
+            bit = 1 << rest
+            if not taken & bit:
+                odd += (taken & (bit - 1)).bit_count()
+                key = taken | bit
+                sums[key] = sums.get(key, 0) + (-1 if odd & 1 else 1)
             return
         shift = last - i
-        for j in slots:
+        for j, v in enumerate(values):
             if counts[j]:
-                v = values[j]
-                if not taken >> (v + shift) & 1:
+                bit = 1 << (v + shift)
+                if not taken & bit:
                     counts[j] -= 1
-                    alpha[i] = v
-                    walk(i + 1, taken | 1 << (v + shift), rest - v)
+                    walk(i + 1, taken | bit, rest - v, odd + (taken & (bit - 1)).bit_count())
                     counts[j] += 1
 
-    walk(0, 0, sum(mu))
-    return out
+    walk(0, 0, sum(mu), 0)
+    return [(mask, c) for mask, c in sums.items() if c]
+
+
+def _shape(mask: int, n: int) -> Partition:
+    """The partition la of at most n parts whose la + delta, delta = (n-1,
+    ..., 0), has its entries at the set bits of mask: la_i is the i-th
+    highest set bit less n - i."""
+    bits = [b for b in range(mask.bit_length())[::-1] if mask >> b & 1]
+    return tuple(b - n + 1 + i for i, b in enumerate(bits) if b + i >= n)
 
 
 def schur_from_dominant(
     dominant: Mapping[tuple[Partition, ...], int], blocks: Blocks
 ) -> dict[tuple[Partition, ...], int]:
-    """Expansion, as block_schur gives it, of the polynomial symmetric in
+    """Expansion, as block_schur gives it, of the polynomial f symmetric in
     each block whose coefficient of x^mu is dominant[mu], mu given by one
-    partition per block.
+    partition per block; a coefficient that cancels to 0 is left out.
 
-    Such an f is fixed by these, and of its monomials only those whose
-    alpha + delta has distinct entries in every block survive the
-    antisymmetrisation of block_schur; so only they are fed to it: the
-    product of the blocks' orbit walks, each walk made once per call.
+    With delta = (s-1, ..., 0) in a block of size s, f * a_delta is the
+    antisymmetrisation of f * x^delta, and s_la = a_(la+delta)/a_delta
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3).  So each
+    monomial c x^alpha of f whose alpha+delta has distinct entries in every
+    block adds sgn(sigma) c at sort(alpha+delta) - delta, sigma sorting each
+    block.  These sums are multiplied over the blocks' orbits of mu, each
+    walked once per call and dropped after its last use, and summed by
+    mask; each mask is read as a partition once.
     """
-    cuts = block_cuts(blocks, sum(size for size, _ in blocks))
     sizes = [size for size, _ in blocks]
-    orbit = cache(_staircase_orbit)
-    terms = (
-        (sum(alphas, ()), c)
-        for key, c in dominant.items()
-        for alphas in product(*map(orbit, key, sizes))
-    )
-    return _antisymmetrise(terms, cuts)
+    uses = Counter(pair for key in dominant for pair in zip(key, sizes))
+    orbits: dict[tuple[Partition, int], list] = {}
+    out: dict[tuple[int, ...], int] = {}
+    for key, c in dominant.items():
+        walked = []
+        for pair in zip(key, sizes):
+            orbit = orbits.pop(pair) if pair in orbits else _signed_orbit(*pair)
+            uses[pair] -= 1
+            if uses[pair]:
+                orbits[pair] = orbit
+            walked.append(orbit)
+        for pairs in product(*walked):
+            masks, signs = zip(*pairs)
+            out[masks] = out.get(masks, 0) + c * prod(signs)
+    return {tuple(map(_shape, masks, sizes)): c for masks, c in out.items() if c}
 
 
 def _one_block(route, arg, n: int) -> SchurVector:
@@ -239,17 +234,10 @@ def _one_block(route, arg, n: int) -> SchurVector:
 
 def to_mvector(p: MonomialPoly) -> MVector:
     """Read a symmetric polynomial off in the monomial-symmetric basis: m_la
-    has the coefficient of x^la.  The symmetry check is that of block_schur
-    with one block."""
-    _check_symmetric(p, [(0, p.var_count, None)])
-    return MVector(
-        p.var_count,
-        {
-            tuple(x for x in exp if x): c
-            for exp, c in p.terms.items()
-            if all(map(ge, exp, exp[1:]))
-        },
-    )
+    has the coefficient of x^la.  The symmetry check and the pick of terms
+    are those of block_schur with one block."""
+    dominant = _dominant_terms(p, [(p.var_count, None)])
+    return MVector(p.var_count, {mu: c for (mu,), c in dominant.items()})
 
 
 def mvector_expand(v: MVector) -> MonomialPoly:

@@ -19,6 +19,7 @@ from boolprod.polyring import (
     graded_elementary,
 )
 from boolprod.bialphabet import pjk_expand
+from boolprod.derangements import bnm1_q
 from boolprod.lascoux import lascoux_check
 from boolprod.schur import mvector_expand, schur_from_poly, schur_to_m, to_mvector
 from boolprod.tableaux import staircase
@@ -187,7 +188,8 @@ def test_root_only_products_never_build_the_full_product(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("boolprod"):
-            for attr in ("alphabet_product", "mvector_expand", "graded_elementary", "block_schur"):
+            for attr in ("alphabet_product", "poly_product", "mvector_expand",
+                         "graded_elementary", "block_schur"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     # a cached slice would skip the read-off
@@ -197,6 +199,7 @@ def test_root_only_products_never_build_the_full_product(monkeypatch):
     assert ep_subset(5, 3, 4).terms
     assert pjk_expand(3, 2, 2, 1).terms
     assert lascoux_check(4, "symmetric").equal
+    assert bnm1_q(5).terms
 
 
 def test_fold_ceiling():

@@ -1,11 +1,14 @@
 """Tests for the q-deformed (n, n-1) product and its tableau statistics."""
 
+from itertools import combinations
 from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import boolprod.derangements
+import boolprod.schur
 from boolprod.boolean import boolean_product
 from boolprod.derangements import (
     QPoly,
@@ -16,7 +19,8 @@ from boolprod.derangements import (
     specialize_q,
 )
 from boolprod.errors import CapacityError, ConsistencyError
-from boolprod.schur import SchurVector
+from boolprod.polyring import MonomialPoly
+from boolprod.schur import SchurVector, schur_from_poly
 from oracles import derangement_number
 
 
@@ -103,12 +107,65 @@ def test_bnm1_q_out_of_range():
 
 
 def test_bnm1_q_rejects_a_negative_layer(monkeypatch):
-    # the positivity check is a real exception, so it survives python -O
-    layers = [SchurVector(2, {(2,): 1, (1, 1): 1}), SchurVector(2, {(1, 1): -1}),
-              SchurVector(2, {(1, 1): 1})]
-    monkeypatch.setattr("boolprod.derangements._layer_vectors", lambda n: layers)
-    with pytest.raises(ConsistencyError, match=r"\(1, 1\)"):
+    # the positivity check is a real exception, so it survives python -O;
+    # at n = 2 the q-coefficients are packed at q = 2^4, and s_(1,1) carries
+    # 1 + q + q^2, so taking 2q off leaves the digit of q at -1
+    honest = boolprod.derangements.schur_of_product
+
+    def tampered(a, blocks):
+        out = honest(a, blocks)
+        out[((1, 1),)] -= 2 << 4
+        return out
+
+    monkeypatch.setattr(boolprod.derangements, "schur_of_product", tampered)
+    with pytest.raises(ConsistencyError, match=r"negative q-coefficient at \(1, 1\)"):
         bnm1_q(2)
+
+
+def test_bnm1_q_rejects_a_coefficient_past_its_last_layer(monkeypatch):
+    # one more at q^3 = 2^12, past the n + 1 = 3 layers of n = 2
+    honest = boolprod.derangements.schur_of_product
+
+    def tampered(a, blocks):
+        out = honest(a, blocks)
+        out[((1, 1),)] += 1 << 12
+        return out
+
+    monkeypatch.setattr(boolprod.derangements, "schur_of_product", tampered)
+    with pytest.raises(ConsistencyError, match=r"\(1, 1\).*passes q\^2"):
+        bnm1_q(2)
+
+
+def test_bnm1_q_self_check_catches_a_changed_packed_coefficient(monkeypatch):
+    honest = boolprod.schur.schur_from_dominant
+    shapes = {n: list(bnm1_q(n).terms) for n in (2, 5)}
+    for n, keys in shapes.items():
+        for la in keys:
+
+            def off_by_one(dominant, blocks, key=(la,)):
+                out = honest(dominant, blocks)
+                out[key] += 1
+                return out
+
+            monkeypatch.setattr(boolprod.schur, "schur_from_dominant", off_by_one)
+            with pytest.raises(ConsistencyError, match="self-check"):
+                bnm1_q(n)
+
+
+def test_bnm1_q_layers_match_the_full_products():
+    # the q^j layer is e_j * e_1^(n-j), built here in monomial space
+    for n in range(1, 7):
+        e = [
+            MonomialPoly(n, {tuple(int(i in s) for i in range(n)): 1 for s in combinations(range(n), j)})
+            for j in range(n + 1)
+        ]
+        got = {la: c.coeffs + (0,) * (n + 1 - len(c.coeffs)) for la, c in bnm1_q(n).terms.items()}
+        for j in range(n + 1):
+            layer = e[j]
+            for _ in range(n - j):
+                layer = layer * e[1]
+            want = schur_from_poly(layer).terms
+            assert {la: c[j] for la, c in got.items() if c[j]} == want
 
 
 def test_alternating_expansion_degenerate():

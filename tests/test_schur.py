@@ -12,7 +12,8 @@ from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product
 from boolprod.schur import (
     MVector,
     SchurVector,
-    _staircase_orbit,
+    _shape,
+    _signed_orbit,
     block_schur,
     check_principal,
     m_to_schur,
@@ -116,17 +117,40 @@ def test_round_trip_all_small_partitions():
                 assert m_to_schur(schur_to_m(v)).terms == v.terms
                 w = MVector(var_count, {la: 1})
                 assert schur_to_m(m_to_schur(w)).terms == w.terms
-                # the orbit walk against the read-off of every orbit monomial
-                blocks = [(var_count, None)]
-                for u in (w, schur_to_m(v)):
-                    want = block_schur(mvector_expand(u), blocks)
-                    dominant = {(mu,): c for mu, c in u.terms.items()}
-                    assert schur_from_dominant(dominant, blocks) == want
+                # the Kostka route against s_la's tableau enumeration
+                direct = MonomialPoly(var_count, schur_poly_direct(la, var_count))
+                assert to_mvector(direct).terms == schur_to_m(v).terms
+
+
+def brute_signed_orbit(mu, n):
+    """Sum of the sort's sign at sort(alpha+delta) - delta over every distinct
+    rearrangement alpha of mu whose alpha+delta has distinct entries."""
+    out = {}
+    for alpha in set(permutations(mu + (0,) * (n - len(mu)))):
+        shifted = [a + n - 1 - i for i, a in enumerate(alpha)]
+        if len(set(shifted)) < n:
+            continue
+        inversions = sum(
+            shifted[i] < shifted[j] for i in range(n) for j in range(i + 1, n)
+        )
+        la = tuple(x - (n - 1 - i) for i, x in enumerate(sorted(shifted, reverse=True)))
+        la = tuple(x for x in la if x)
+        out[la] = out.get(la, 0) + (-1) ** inversions
+    return {la: c for la, c in out.items() if c}
+
+
+def test_the_signed_orbit_walk_matches_brute_force():
+    for n in range(1, 5):
+        for d in range(8):
+            for mu in partitions_up_to(d, n):
+                walked = _signed_orbit(mu, n)
+                assert len(dict(walked)) == len(walked)
+                assert {_shape(mask, n): c for mask, c in walked} == brute_signed_orbit(mu, n)
 
 
 def test_an_empty_block_has_one_empty_arrangement():
-    assert _staircase_orbit((), 0) == [()]
-    assert _staircase_orbit((1,), 0) == []
+    assert _signed_orbit((), 0) == [(0, 1)] and _shape(0, 0) == ()
+    assert _signed_orbit((1,), 0) == []
     assert schur_from_dominant({((), (1, 1)): 1}, [(0, "x"), (2, "y")]) == {((), (1, 1)): 1}
 
 
@@ -192,7 +216,7 @@ def mvector_strategy(draw, min_vars=1):
 @given(mvector_strategy())
 def test_round_trip_property(v):
     assert schur_to_m(m_to_schur(v)).terms == v.terms
-    assert m_to_schur(v).terms == schur_from_poly(mvector_expand(v)).terms
+    assert schur_to_m(schur_from_poly(mvector_expand(v))).terms == v.terms
 
 
 def test_an_asymmetric_alphabet_is_refused():
