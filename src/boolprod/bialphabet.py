@@ -45,14 +45,8 @@ class BiSchurVector:
         return all(c >= 0 for c in self.terms.values())
 
 
-def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
-    """Expand the product of all X_S + Y_T with |S| = j, |T| = k.
-
-    The product is read off in Schur pairs by schur_of_product, with the x
-    variables as one block and the y variables as the other.  Negative
-    output coefficients would contradict the positivity this product is
-    known to have, so they are a hard failure.
-    """
+def check_pjk_args(n: int, m: int, j: int, k: int) -> None:
+    """Refuse what pjk_expand refuses, in the same order, without expanding."""
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
     if not 0 <= k <= m:
@@ -64,6 +58,17 @@ def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
         raise CapacityError(
             f"product of {form_count} forms exceeds the cap of {PJK_FORM_CAP}"
         )
+
+
+def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
+    """Expand the product of all X_S + Y_T with |S| = j, |T| = k.
+
+    The product is read off in Schur pairs by schur_of_product, with the x
+    variables as one block and the y variables as the other.  Negative
+    output coefficients would contradict the positivity this product is
+    known to have, so they are a hard failure.
+    """
+    check_pjk_args(n, m, j, k)
     y_subsets = [tuple(n + i for i in t) for t in combinations(range(m), k)]
     alphabet = Alphabet.from_subsets(
         n + m, (s + t for s in combinations(range(n), j) for t in y_subsets)

@@ -2,7 +2,10 @@
 
 The arrangement consists of the hyperplanes {sum of x_i over i in S = 0} for
 every nonempty S inside [n].  charpoly_ff fits chi/(t - 1) to projective
-point counts (x_1 = 1) at n - 2 primes and checks one holdout prime;
+point counts (x_1 = 1) at n - 2 primes and checks one holdout prime.  A
+count walks nondecreasing x_2..x_n with one p-bit mask per branch, the
+residues the next coordinate may not take (0 and the negatives of the subset
+sums so far), and counts the last coordinate by popcount;
 charpoly_mobius builds the lattice of flats rank by rank in integer
 arithmetic and runs the Mobius recursion on it.
 CharPoly checks both against Whitney's t^(n-2) coefficient.  Region counts
@@ -15,8 +18,8 @@ from .errors import CapacityError, ConsistencyError
 from .polyring import QPoly
 
 COUNT_MAX_N = 7
-FF_MAX_N = 6  # n=7 needs allow_long
-MOBIUS_MAX_N = 4
+FF_MAX_N = 6  # n=7 counts six primes in 6-7 s, so it needs allow_long
+MOBIUS_MAX_N = 5  # n=5 builds 1,788 flats in 1.1-1.4 s
 
 
 def _is_prime(p: int) -> bool:
@@ -69,28 +72,36 @@ def complement_count(n: int, p: int) -> int:
 
 def _projective_count(n: int, p: int) -> int:
     """Complement points with x_1 = 1, i.e. chi/(t - 1) at p.  Enumerates
-    nondecreasing x_2..x_n only, weighted by multinomials; achievable subset
-    sums are a p-bit mask, and a branch dies once residue 0 is achievable."""
+    nondecreasing x_2..x_n only, weighted by multinomials.  A branch keeps one
+    p-bit mask, forbid: residue 0 and the negatives of the subset sums
+    reachable so far.  v can come next exactly when bit v of forbid is clear,
+    and placing it ors in forbid rotated down by v.  The last coordinate
+    recurses no further: its allowed values v >= prev are counted by one
+    popcount, v = prev weighted for a run one longer."""
+    if n == 1:
+        return 1
     full = (1 << p) - 1
     fact = factorial(n - 1)
-    total = 0
 
-    def rec(remaining: int, mask: int, prev: int, run: int, denom: int):
-        nonlocal total
-        if remaining == 0:
-            total += fact // denom
-            return
+    def rec(remaining: int, forbid: int, prev: int, run: int, denom: int) -> int:
+        if remaining == 1:
+            free = (~forbid & full) >> prev
+            weight = fact // denom
+            if free & 1:
+                return weight * (free.bit_count() - 1) + weight // (run + 1)
+            return weight * free.bit_count()
+        total = 0
         for v in range(prev, p):
-            new_mask = mask | ((mask << v) | (mask >> (p - v))) & full | (1 << v)
-            if new_mask & 1:
+            if forbid >> v & 1:
                 continue
+            grown = forbid | ((forbid << (p - v)) | (forbid >> v)) & full
             if v == prev:
-                rec(remaining - 1, new_mask, v, run + 1, denom * (run + 1))
+                total += rec(remaining - 1, grown, v, run + 1, denom * (run + 1))
             else:
-                rec(remaining - 1, new_mask, v, 1, denom)
+                total += rec(remaining - 1, grown, v, 1, denom)
+        return total
 
-    rec(n - 1, 1 << 1, 1, 0, 1)
-    return total
+    return rec(n - 1, 1 | 1 << (p - 1), 1, 0, 1)
 
 
 class CharPoly(QPoly):
@@ -146,7 +157,7 @@ def charpoly_ff(n: int, allow_long: bool = False) -> CharPoly:
         raise CapacityError(f"finite field method capped at n={COUNT_MAX_N}, got {n}")
     if n > FF_MAX_N and not allow_long:
         raise CapacityError(
-            f"n={n} counts six primes (37-59) in 18-38 s; "
+            f"n={n} counts six primes (37-59) in 6-7 s; "
             f"pass allow_long=True (cli --allow-long) to run it"
         )
     *fit, holdout = valid_primes(n, max(n - 1, 1))
@@ -187,7 +198,7 @@ def charpoly_mobius(n: int) -> CharPoly:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MOBIUS_MAX_N:
         raise CapacityError(
-            f"lattice oracle builds every flat (1,788 at n=5); "
+            f"lattice oracle builds every flat (1,788 in 1.1-1.4 s at n=5); "
             f"capped at n={MOBIUS_MAX_N}"
         )
     normals = _subset_normals(n)

@@ -166,7 +166,7 @@ def test_capacity_errors_exit_3(capsys):
     assert code == 3
     assert "allow-long" in err
 
-    for args in (("--n", "8", "--allow-long"), ("--n", "5", "--method", "mobius")):
+    for args in (("--n", "8", "--allow-long"), ("--n", "6", "--method", "mobius")):
         code, _, err = run_cli(capsys, "charpoly", *args)
         assert code == 3
         assert err.startswith("capacity:")
@@ -198,6 +198,20 @@ def test_sparse_bialphabet_forms_are_not_held_to_the_fold_ceiling(capsys):
     # exit 0 means it matched the dual Cauchy reference: a term per shape in the box
     assert code == 0 and err == ""
     assert out.startswith("s[14](X) s[-](Y) + ") and out.count(" + ") == 14
+
+
+def test_bialphabet_box_cap_refuses_before_expanding(capsys, monkeypatch):
+    def unreachable(n, m, j, k):
+        raise AssertionError("pjk_expand ran past a refusal")
+
+    monkeypatch.setattr("boolprod.cli.pjk_expand", unreachable)
+    code, out, err = run_cli(capsys, "bialphabet", "--n", "5", "--m", "4", "--j", "1", "--k", "1")
+    assert (code, out, err) == (3, "", "capacity: box size 20 exceeds the cap of 16\n")
+    # pjk_expand's own refusals keep their precedence over the box cap
+    code, out, err = run_cli(capsys, "bialphabet", "--n", "5", "--m", "7", "--j", "1", "--k", "1")
+    assert (code, out, err) == (3, "", "capacity: product of 35 forms exceeds the cap of 30\n")
+    code, out, err = run_cli(capsys, "bialphabet", "--n", "0", "--m", "2", "--j", "1", "--k", "1")
+    assert (code, out, err) == (2, "", "error: need 0 <= j <= n, got j=1, n=0\n")
 
 
 def test_consistency_errors_exit_4(capsys, monkeypatch):

@@ -49,6 +49,7 @@ def test_complement_count_against_brute_force():
         + [(2, p) for p in (2, 3, 5, 7)]
         + [(3, p) for p in (3, 5, 7, 11)]
         + [(4, p) for p in (5, 7)]
+        + [(5, 7)]
     )
     for n, p in cases:
         assert complement_count(n, p) == brute_complement_count(n, p)
@@ -116,6 +117,10 @@ def test_two_methods_agree():
         assert charpoly_ff(n).coeffs == charpoly_mobius(n).coeffs
 
 
+def test_mobius_matches_the_frozen_n5_golden():
+    assert charpoly_mobius(5).coeffs == FROZEN_CHI_5
+
+
 def test_frozen_regressions():
     for n, coeffs in FROZEN_CHI.items():
         assert charpoly_ff(n).coeffs == coeffs
@@ -135,7 +140,7 @@ def test_method_capacity_limits():
     with pytest.raises(ValueError):
         charpoly_mobius(0)
     with pytest.raises(CapacityError):
-        charpoly_mobius(5)
+        charpoly_mobius(6)
     with pytest.raises(CapacityError, match="allow_long"):
         charpoly_ff(7)
     with pytest.raises(CapacityError):
