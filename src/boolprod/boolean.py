@@ -10,16 +10,23 @@ Schur-basis multiplication rule is used anywhere.
 
 from functools import lru_cache
 from itertools import chain, combinations
+from math import comb
 
 from .polyring import Alphabet, check_fold_capacity
 from .schur import SchurVector, _one_block, schur_of_graded_product, schur_of_product
 from .tableaux import Partition
 
 
-def subset_alphabet(n: int, k: int) -> Alphabet:
-    """Alphabet of the C(n,k) subset-sum forms, subsets in lexicographic order."""
+def _subset_count(n: int, k: int) -> int:
+    """C(n,k), the number of forms of the (n,k) alphabet, once (n, k) is valid."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return comb(n, k)
+
+
+def subset_alphabet(n: int, k: int) -> Alphabet:
+    """Alphabet of the C(n,k) subset-sum forms, subsets in lexicographic order."""
+    _subset_count(n, k)
     return Alphabet.from_subsets(n, combinations(range(n), k))
 
 
@@ -27,14 +34,14 @@ def subset_alphabet(n: int, k: int) -> Alphabet:
 # (partition, coefficient) pairs, so no caller can change another's result.
 @lru_cache(maxsize=None)
 def _graded_subset_terms(n: int, k: int) -> tuple[tuple[Partition, int], ...]:
-    a = subset_alphabet(n, k)
+    count = _subset_count(n, k)
     check_fold_capacity(
         n + 1,
-        len(a),
-        f"the product of the {len(a)} forms t + X_S in {n + 1} variables behind "
+        count,
+        f"the product of the {count} forms t + X_S in {n + 1} variables behind "
         f"every e_p of the ({n},{k}) alphabet",
     )
-    return tuple(schur_of_graded_product(a).terms.items())
+    return tuple(schur_of_graded_product(subset_alphabet(n, k)).terms.items())
 
 
 def ep_subset(n: int, k: int, p: int) -> SchurVector:
@@ -47,16 +54,14 @@ def ep_subset(n: int, k: int, p: int) -> SchurVector:
 
 def boolean_product(n: int, k: int) -> SchurVector:
     """Schur expansion of the (n,k) product; homogeneous of degree C(n,k)."""
-    a = subset_alphabet(n, k)
-    check_fold_capacity(n, len(a))
-    return _one_block(schur_of_product, a, n)
+    check_fold_capacity(n, _subset_count(n, k))
+    return _one_block(schur_of_product, subset_alphabet(n, k), n)
 
 
 def total_boolean(n: int) -> SchurVector:
     """Schur expansion of the total product over k = 1..n, degree 2^n - 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    # before the 2^n - 1 forms are built
     check_fold_capacity(n, 2**n - 1)
     subsets = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
     return _one_block(schur_of_product, Alphabet.from_subsets(n, subsets), n)

@@ -11,14 +11,17 @@ without being built.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import CapacityError, ConsistencyError
-from .polyring import Alphabet
+from .polyring import Alphabet, check_fold_capacity
 from .schur import SchurVector, schur_of_graded_product
 from .tableaux import Partition, contains, staircase, subpartitions
 
-GV_SUM_CAP = 30  # cap on sum of start heights for the path enumeration
+# Cap on the sum of start heights for the path enumeration.  At 30 in one
+# process, gv_count((10, 4, 1), (), 6) walks 392,392 path families in 8.6 s.
+GV_SUM_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -121,13 +124,10 @@ def gv_count(la: Partition, mu: Partition, n: int) -> int:
 
 
 def _pair_alphabet(n: int, kind: str) -> Alphabet:
-    if kind == "exterior":
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif kind == "symmetric":
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    else:
+    pairs = {"exterior": combinations, "symmetric": combinations_with_replacement}.get(kind)
+    if pairs is None:
         raise ValueError(f"kind must be 'exterior' or 'symmetric', got {kind!r}")
-    return Alphabet.from_subsets(n, pairs)
+    return Alphabet.from_subsets(n, pairs(range(n), 2))
 
 
 @dataclass
@@ -154,8 +154,10 @@ def lascoux_check(n: int, kind: str) -> LascouxReport:
     coefficient an exact integer division.  Raises ConsistencyError if any rhs
     coefficient fails to be an integer or the two sides differ.
     """
-    if not 2 <= n <= 5:
-        raise CapacityError(f"supported range is 2 <= n <= 5, got {n}")
+    if n < 2:
+        raise CapacityError(f"need n >= 2, got {n}")
+    count = comb(n + (kind == "symmetric"), 2)  # C(n,2) strict, C(n+1,2) weak pairs
+    check_fold_capacity(n + 1, count, f"the product of {count} {kind} pair forms t + x_i + x_j")
     lhs = schur_of_graded_product(_pair_alphabet(n, kind))
 
     delta = staircase(n - 1 if kind == "exterior" else n)

@@ -197,9 +197,9 @@ FOLD_MAX_MONOMIALS = 1_000_000
 def check_fold_capacity(var_count: int, degree: int, product: str | None = None) -> None:
     """Raise CapacityError if the larger fold of a product of `degree` linear
     forms in `var_count` variables may exceed FOLD_MAX_MONOMIALS; `product`
-    names it in the message.  Callers whose forms fill nearly every monomial
-    check it; pjk_expand's forms are sparse over many variables, so this
-    count would refuse small products."""
+    names it in the message.  boolean_product, total_boolean, ep_subset,
+    bnm1_q and lascoux_check, whose forms fill their degree, run it before
+    they build a form; pjk_expand's sparse forms keep a form cap."""
     top = degree - degree // 3
     size = comb(top + var_count - 1, var_count - 1)
     if size > FOLD_MAX_MONOMIALS:

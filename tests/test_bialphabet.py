@@ -126,7 +126,7 @@ def test_capacity_limits():
     with pytest.raises(CapacityError):
         pjk_expand(4, 4, 2, 2)  # 36 forms
     with pytest.raises(CapacityError):
-        dual_cauchy_reference(5, 4)  # 20 cells
+        dual_cauchy_reference(6, 6)  # 36 cells, the forms of pjk_expand(6, 6, 1, 1)
 
 
 def test_parameter_validation():

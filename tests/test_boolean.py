@@ -162,6 +162,25 @@ def test_total_boolean_capacity():
         total_boolean(6)
 
 
+def test_fold_ceiling_refuses_before_the_forms_are_built(monkeypatch):
+    # 184,756 forms for (20,10): the ceiling runs on C(n,k) alone
+    def unreachable(n, k):
+        raise AssertionError("the forms were built before the fold ceiling")
+
+    monkeypatch.setattr("boolprod.boolean.subset_alphabet", unreachable)
+    with pytest.raises(CapacityError):
+        boolean_product(20, 10)
+    with pytest.raises(CapacityError):
+        ep_subset(20, 10, 1)
+    # usage errors keep their messages and come first
+    with pytest.raises(ValueError, match=r"need 1 <= k <= n, got k=21, n=20"):
+        boolean_product(20, 21)
+    with pytest.raises(ValueError, match=r"need 1 <= k <= n, got k=0, n=20"):
+        ep_subset(20, 0, 1)
+    with pytest.raises(ValueError, match="p must be nonnegative"):
+        ep_subset(20, 10, -1)
+
+
 def test_root_only_products_match_the_full_product():
     cases = [(n, k) for n in range(1, 7) for k in range(1, n + 1)] + [(7, 2), (7, 6)]
     for n, k in cases:

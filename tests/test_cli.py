@@ -13,7 +13,8 @@ import sys
 import pytest
 
 from boolprod import __version__
-from boolprod.cli import main
+from boolprod.bialphabet import dual_cauchy_reference
+from boolprod.cli import _render_biterms, main
 from boolprod.errors import ConsistencyError
 
 
@@ -200,14 +201,27 @@ def test_sparse_bialphabet_forms_are_not_held_to_the_fold_ceiling(capsys):
     assert out.startswith("s[14](X) s[-](Y) + ") and out.count(" + ") == 14
 
 
+def test_lascoux_and_derangement_past_the_fold_ceiling_exit_3(capsys):
+    code, out, err = run_cli(capsys, "lascoux", "--n", "8", "--kind", "exterior")
+    assert (code, out) == (3, "")
+    assert "C(27,8) = 2,220,075 monomials" in err
+    code, out, err = run_cli(capsys, "derangement", "--n", "14")
+    assert (code, out) == (3, "")
+    assert "C(23,13) = 1,144,066 monomials" in err
+
+
 def test_bialphabet_box_cap_refuses_before_expanding(capsys, monkeypatch):
-    def unreachable(n, m, j, k):
+    # the 20 box cells are within the form cap: the expansion runs and exit 0
+    # means it matched the dual Cauchy reference
+    code, out, err = run_cli(capsys, "bialphabet", "--n", "5", "--m", "4", "--j", "1", "--k", "1")
+    assert (code, err) == (0, "")
+    assert out == _render_biterms(dual_cauchy_reference(5, 4)) + "\n"
+
+    def unreachable(a, blocks):
         raise AssertionError("pjk_expand ran past a refusal")
 
-    monkeypatch.setattr("boolprod.cli.pjk_expand", unreachable)
-    code, out, err = run_cli(capsys, "bialphabet", "--n", "5", "--m", "4", "--j", "1", "--k", "1")
-    assert (code, out, err) == (3, "", "capacity: box size 20 exceeds the cap of 16\n")
-    # pjk_expand's own refusals keep their precedence over the box cap
+    # pjk_expand refuses before it reads any product off
+    monkeypatch.setattr("boolprod.bialphabet.schur_of_product", unreachable)
     code, out, err = run_cli(capsys, "bialphabet", "--n", "5", "--m", "7", "--j", "1", "--k", "1")
     assert (code, out, err) == (3, "", "capacity: product of 35 forms exceeds the cap of 30\n")
     code, out, err = run_cli(capsys, "bialphabet", "--n", "0", "--m", "2", "--j", "1", "--k", "1")

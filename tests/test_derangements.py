@@ -99,11 +99,11 @@ def test_bnm1_q_out_of_range():
     with pytest.raises(ValueError):
         bnm1_q(0)
     with pytest.raises(CapacityError):
-        bnm1_q(8)
+        bnm1_q(14)
     with pytest.raises(ValueError):
         alternating_expansion(0)
     with pytest.raises(CapacityError):
-        alternating_expansion(8)
+        alternating_expansion(11)
 
 
 def test_bnm1_q_rejects_a_negative_layer(monkeypatch):
@@ -195,7 +195,7 @@ def test_a_coeffs_out_of_range():
 def test_four_routes_agree():
     # the q = -1 specialization, the signed monomial assembly, the direct
     # (n, n-1) product, and the even-smallest-ascent tableau count all match
-    for n in range(2, 8):
+    for n in range(2, 9):
         from_q = specialize_q(bnm1_q(n), -1)
         alternating = alternating_expansion(n)
         direct = boolean_product(n, n - 1)
@@ -217,7 +217,7 @@ def test_frobenius_dimension_specializations():
     assert frobenius_dimension(v4, 1) == 65
     assert frobenius_dimension(v4, 0) == 24
     assert frobenius_dimension(v4, -1) == 9
-    for n in range(1, 8):
+    for n in range(1, 11):
         v = bnm1_q(n)
         assert frobenius_dimension(v, 1) == sum(
             factorial(n) // factorial(k) for k in range(n + 1)
@@ -225,6 +225,8 @@ def test_frobenius_dimension_specializations():
         assert frobenius_dimension(v, 0) == factorial(n)
         if n >= 2:
             assert frobenius_dimension(v, -1) == derangement_number(n)
+    # D_8, D_9, D_10 (OEIS A000166)
+    assert [frobenius_dimension(bnm1_q(n), -1) for n in (8, 9, 10)] == [14833, 133496, 1334961]
 
 
 def test_frobenius_dimension_plain_int_coeffs():
