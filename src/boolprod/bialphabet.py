@@ -9,12 +9,12 @@ dual_cauchy_reference builds directly from box complements without touching
 any polynomial arithmetic.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
 from .errors import CapacityError, ConsistencyError
 from .polyring import Alphabet
+from .record import Record
 from .schur import schur_of_product
 from .tableaux import Partition, conjugate, subpartitions
 
@@ -25,19 +25,17 @@ PJK_FORM_CAP = 30
 PartitionPair = tuple[Partition, Partition]
 
 
-@dataclass
-class BiSchurVector:
+class BiSchurVector(Record):
     """Combination of products s_lambda(X) s_mu(Y) over split variable blocks."""
 
-    n: int
-    m: int
-    terms: dict[PartitionPair, int] = field(default_factory=dict)
+    FIELDS = ("n", "m", "terms")
 
-    def __post_init__(self):
-        self.terms = {pair: c for pair, c in self.terms.items() if c}
-        for la, mu in self.terms:
-            if len(la) > self.n or len(mu) > self.m:
-                raise ValueError(f"({la}, {mu}) does not fit in {self.n}+{self.m} variables")
+    def __init__(self, n: int, m: int, terms: dict[PartitionPair, int] | None = None):
+        terms = {pair: c for pair, c in (terms or {}).items() if c}
+        for la, mu in terms:
+            if len(la) > n or len(mu) > m:
+                raise ValueError(f"({la}, {mu}) does not fit in {n}+{m} variables")
+        super().__init__(n, m, terms)
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)

@@ -19,7 +19,7 @@ from .schur import SchurVector, schur_from_poly, schur_of_product
 from .tableaux import num_syt, partitions_up_to, smallest_ascent, syt_list
 
 ALTERNATING_MAX_N = 10  # n=10 builds its full products in about 2 s at 58 MB, n=9 in 0.4 s
-SYT_COEFF_MAX_N = 8  # n=8 walks all 764 standard tableaux in 24 ms
+SYT_COEFF_MAX_N = 11  # n=11 walks all 35,696 standard tableaux in 0.8 s at 20 MB
 
 
 def bnm1_q(n: int) -> SchurVector:

@@ -10,12 +10,12 @@ prefactor exactly; the product side is read off its dominant coefficients
 without being built.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import CapacityError, ConsistencyError
 from .polyring import Alphabet, check_fold_capacity
+from .record import FrozenRecord, Record
 from .schur import SchurVector, schur_of_graded_product
 from .tableaux import Partition, contains, staircase, subpartitions
 
@@ -24,13 +24,13 @@ from .tableaux import Partition, contains, staircase, subpartitions
 GV_SUM_CAP = 30
 
 
-@dataclass(frozen=True)
-class GVConfig:
+class GVConfig(FrozenRecord):
     """Padded start/end data: path i runs from (0, a_i) to (b_i, b_i)."""
 
-    n: int
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    FIELDS = ("n", "a", "b")
+
+    def __init__(self, n: int, a: tuple[int, ...], b: tuple[int, ...]):
+        super().__init__(n, a, b)
 
     @classmethod
     def build(cls, la: Partition, mu: Partition, n: int) -> "GVConfig":
@@ -130,14 +130,13 @@ def _pair_alphabet(n: int, kind: str) -> Alphabet:
     return Alphabet.from_subsets(n, pairs(range(n), 2))
 
 
-@dataclass
-class LascouxReport:
+class LascouxReport(Record):
     """Both sides of the identity, already verified equal and integral."""
 
-    n: int
-    kind: str
-    lhs: SchurVector
-    rhs: SchurVector
+    FIELDS = ("n", "kind", "lhs", "rhs")
+
+    def __init__(self, n: int, kind: str, lhs: SchurVector, rhs: SchurVector):
+        super().__init__(n, kind, lhs, rhs)
 
     @property
     def equal(self) -> bool:

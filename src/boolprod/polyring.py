@@ -17,11 +17,11 @@ callers that need every monomial and for tests.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from math import comb
 from operator import add
 
 from .errors import CapacityError
+from .record import FrozenRecord
 from .tableaux import Partition, partitions_up_to
 
 # A linear form is its coefficient vector over the ambient variables,
@@ -32,19 +32,16 @@ LinearForm = tuple[int, ...]
 Blocks = list[tuple[int, str | None]]
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(FrozenRecord):
     """Ordered sequence of integer linear forms over a common variable count."""
 
-    var_count: int
-    forms: tuple[LinearForm, ...]
+    FIELDS = ("var_count", "forms")
 
-    def __post_init__(self):
-        for f in self.forms:
-            if len(f) != self.var_count:
-                raise ValueError(
-                    f"form {f} has {len(f)} coefficients, expected {self.var_count}"
-                )
+    def __init__(self, var_count: int, forms: tuple[LinearForm, ...]):
+        for f in forms:
+            if len(f) != var_count:
+                raise ValueError(f"form {f} has {len(f)} coefficients, expected {var_count}")
+        super().__init__(var_count, forms)
 
     def __len__(self) -> int:
         return len(self.forms)
@@ -280,21 +277,18 @@ def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, 
     return out
 
 
-@dataclass(frozen=True)
-class QPoly:
+class QPoly(FrozenRecord):
     """Dense univariate integer polynomial; coeffs[i] is the coefficient of
     VAR^i.  Printed in the variable VAR, highest power first if DESCENDING."""
 
-    coeffs: tuple[int, ...] = ()
-
+    FIELDS = ("coeffs",)
     VAR = "q"
     DESCENDING = False
 
-    def __post_init__(self):
-        trimmed = self.coeffs
-        while trimmed and trimmed[-1] == 0:
-            trimmed = trimmed[:-1]
-        object.__setattr__(self, "coeffs", trimmed)
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        super().__init__(coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

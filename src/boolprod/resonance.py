@@ -105,14 +105,15 @@ def _projective_count(n: int, p: int) -> int:
 
 
 class CharPoly(QPoly):
-    """coeffs[i] multiplies t^i; validated monic (hence already trimmed)
-    with the forced values."""
+    """coeffs[i] multiplies t^i; trimmed, then validated monic with the
+    forced values."""
 
     VAR = "t"
     DESCENDING = True
     n = property(QPoly.degree)
 
-    def __post_init__(self):
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        super().__init__(coeffs)
         n = self.n
         if n < 1 or self.coeffs[-1] != 1:
             raise ConsistencyError(f"not monic of positive degree: {self.coeffs}")

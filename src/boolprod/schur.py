@@ -18,7 +18,6 @@ Jacobi-Trudi determinant in the alphabet's elementary symmetric polynomials.
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations, product
 from math import prod
@@ -27,39 +26,33 @@ from operator import ge, itemgetter
 from .errors import AsymmetryError, ConsistencyError
 from .polyring import Alphabet, Blocks, MonomialPoly, block_cuts, dominant_coefficients
 from .polyring import graded_elementary
+from .record import Record
 from .tableaux import Partition, conjugate, kostka, partitions_up_to
 
 
-@dataclass
-class MVector:
+class _TermVector(Record):
+    """Partition -> nonzero coefficient, in var_count variables."""
+
+    FIELDS = ("var_count", "terms")
+
+    def __init__(self, var_count: int, terms: Mapping | None = None):
+        terms = {la: c for la, c in (terms or {}).items() if c}
+        for la in terms:
+            if len(la) > var_count:
+                raise ValueError(f"{la} has more parts than variables")
+        super().__init__(var_count, terms)
+
+
+class MVector(_TermVector):
     """Integer combination of monomial symmetric polynomials m_lambda."""
 
-    var_count: int
-    terms: dict[Partition, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.terms = {la: c for la, c in self.terms.items() if c}
-        for la in self.terms:
-            if len(la) > self.var_count:
-                raise ValueError(f"{la} has more parts than variables")
-
-
-@dataclass
-class SchurVector:
+class SchurVector(_TermVector):
     """Combination of Schur polynomials s_lambda.
 
     Coefficients are usually ints; the derangement module stores q-polynomials
     here instead, so only +, ==, and truthiness are assumed of them.
     """
-
-    var_count: int
-    terms: dict[Partition, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {la: c for la, c in self.terms.items() if c}
-        for la in self.terms:
-            if len(la) > self.var_count:
-                raise ValueError(f"{la} has more parts than variables")
 
     def items_sorted(self):
         """Terms in the canonical descending partition order."""

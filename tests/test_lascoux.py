@@ -21,6 +21,10 @@ def test_gvconfig_padding():
     cfg = GVConfig.build((2, 1), (1,), 3)
     assert cfg.a == (4, 2, 0)
     assert cfg.b == (3, 1, 0)
+    same = GVConfig(n=3, a=(4, 2, 0), b=(3, 1, 0))
+    assert cfg == same and hash(cfg) == hash(same)
+    with pytest.raises(AttributeError):
+        cfg.n = 4
     with pytest.raises(ValueError):
         GVConfig.build((1, 1, 1, 1), (), 3)
 

@@ -3,14 +3,17 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from boolprod.errors import ConsistencyError
 from boolprod.polyring import (
     Alphabet,
     MonomialPoly,
+    QPoly,
     alphabet_product,
     dominant_coefficients,
     graded_elementary,
     poly_product,
 )
+from boolprod.resonance import CharPoly
 from oracles import elementary_of_forms, expand_forms, total_degree
 
 
@@ -21,6 +24,25 @@ def three_pairs():
 def test_alphabet_validates_lengths():
     with pytest.raises(ValueError):
         Alphabet(2, ((1, 1, 0),))
+
+
+def test_frozen_records_compare_and_hash_by_value():
+    a, b = three_pairs(), three_pairs()
+    assert a == b and hash(a) == hash(b)
+    assert a != Alphabet(3, ((1, 1, 0),))
+    assert QPoly((1, 2, 0)) == QPoly((1, 2)) and hash(QPoly((1, 2, 0))) == hash(QPoly((1, 2)))
+    assert QPoly((1, 2)) != QPoly((1, 3))
+    assert QPoly((-1, 1)) != CharPoly((-1, 1)) and CharPoly((-1, 1)) == CharPoly((-1, 1))
+    assert QPoly() != () and repr(QPoly((1, 2))) == "QPoly(coeffs=(1, 2))"
+    for value, field in ((a, "forms"), (QPoly((1,)), "coeffs"), (CharPoly((-1, 1)), "coeffs")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+
+
+def test_charpoly_checks_run_after_trimming():
+    with pytest.raises(ConsistencyError, match="not monic"):
+        CharPoly((0, -3, 2))
+    assert CharPoly((2, -3, 1, 0)).coeffs == (2, -3, 1)
 
 
 def test_alphabet_from_subsets_counts_multiplicity():

@@ -101,6 +101,20 @@ def test_schur_to_m_known_values():
     assert schur_to_m(SchurVector(2, {(): 1})).terms == {(): 1}
 
 
+def test_term_vectors_compare_by_value_and_are_unhashable():
+    v = SchurVector(2, {(2,): 1, (1, 1): 0})
+    assert v.terms == {(2,): 1}
+    assert v == SchurVector(2, {(2,): 1}) and v != SchurVector(3, {(2,): 1})
+    assert v != MVector(2, {(2,): 1}) and MVector(2, {(2,): 1}) == MVector(2, {(2,): 1})
+    assert repr(v) == "SchurVector(var_count=2, terms={(2,): 1})"
+    empty = SchurVector(2)
+    assert empty.terms == {} and empty.terms is not SchurVector(2).terms
+    with pytest.raises(TypeError):
+        hash(v)
+    with pytest.raises(TypeError):
+        hash(MVector(1))
+
+
 def test_length_cap_rejected():
     with pytest.raises(ValueError):
         SchurVector(2, {(1, 1, 1): 1})
