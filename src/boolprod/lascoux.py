@@ -123,11 +123,11 @@ def gv_count(la: Partition, mu: Partition, n: int) -> int:
     return place(0, set())
 
 
+_PAIRS = {"exterior": combinations, "symmetric": combinations_with_replacement}
+
+
 def _pair_alphabet(n: int, kind: str) -> Alphabet:
-    pairs = {"exterior": combinations, "symmetric": combinations_with_replacement}.get(kind)
-    if pairs is None:
-        raise ValueError(f"kind must be 'exterior' or 'symmetric', got {kind!r}")
-    return Alphabet.from_subsets(n, pairs(range(n), 2))
+    return Alphabet.from_subsets(n, _PAIRS[kind](range(n), 2))
 
 
 class LascouxReport(Record):
@@ -153,8 +153,8 @@ def lascoux_check(n: int, kind: str) -> LascouxReport:
     coefficient an exact integer division.  Raises ConsistencyError if any rhs
     coefficient fails to be an integer or the two sides differ.
     """
-    if n < 2:
-        raise CapacityError(f"need n >= 2, got {n}")
+    if n < 2 or kind not in _PAIRS:
+        raise ValueError(f"need n >= 2 and kind 'exterior' or 'symmetric', got {n}, {kind!r}")
     count = comb(n + (kind == "symmetric"), 2)  # C(n,2) strict, C(n+1,2) weak pairs
     check_fold_capacity(n + 1, count, f"the product of {count} {kind} pair forms t + x_i + x_j")
     lhs = schur_of_graded_product(_pair_alphabet(n, kind))

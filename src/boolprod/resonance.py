@@ -17,7 +17,7 @@ from math import comb, factorial, sqrt
 from .errors import CapacityError, ConsistencyError
 from .polyring import QPoly
 
-COUNT_MAX_N = 7
+COUNT_MAX_N = 7  # n=7 counts one prime, e.g. complement_count(7, 59), in 2.6-3.3 s
 FF_MAX_N = 6  # n=7 counts six primes in 6-7 s, so it needs allow_long
 MOBIUS_MAX_N = 5  # n=5 builds 1,788 flats in 1.1-1.4 s
 

@@ -25,7 +25,7 @@ from operator import ge, itemgetter
 
 from .errors import AsymmetryError, ConsistencyError
 from .polyring import Alphabet, Blocks, MonomialPoly, block_cuts, dominant_coefficients
-from .polyring import graded_elementary
+from .polyring import _mul_into, _pack, _unpack, graded_elementary
 from .record import Record
 from .tableaux import Partition, conjugate, kostka, partitions_up_to
 
@@ -331,30 +331,28 @@ def schur_of_graded_product(a: Alphabet) -> SchurVector:
     return SchurVector(n, {la: c for (_, la), c in terms.items()})
 
 
-def _poly_det(m: list[list[MonomialPoly]], var_count: int) -> MonomialPoly:
-    """Determinant with polynomial entries; Laplace expansion memoized on
-    the live column set (fine for the small Jacobi-Trudi sizes used here)."""
-    size = len(m)
-    cache: dict[tuple[int, ...], MonomialPoly] = {}
+def _poly_det(m: list[list[dict[int, int]]]) -> dict[int, int]:
+    """Determinant of a matrix of packed term dicts; Laplace expansion down
+    the rows, memoized on the live column set (fine for the small
+    Jacobi-Trudi sizes used here), each minor purged of zeros."""
+    cache: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
 
-    def minor(row: int, cols: tuple[int, ...]) -> MonomialPoly:
-        if not cols:
-            return MonomialPoly.constant(var_count, 1)
+    def minor(row: int, cols: tuple[int, ...]) -> dict[int, int]:
         got = cache.get(cols)
         if got is not None:
             return got
-        acc = MonomialPoly(var_count)
+        acc: dict[int, int] = {}
         for pos, col in enumerate(cols):
             entry = m[row][col]
-            if not entry:
-                continue
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            piece = entry * sub
-            acc = acc + (piece if pos % 2 == 0 else piece.scale(-1))
+            if entry:
+                if pos % 2:
+                    entry = {k: -c for k, c in entry.items()}
+                _mul_into(acc, entry, minor(row + 1, cols[:pos] + cols[pos + 1 :]))
+        acc = {k: c for k, c in acc.items() if c}
         cache[cols] = acc
         return acc
 
-    return minor(0, tuple(range(size)))
+    return minor(0, tuple(range(len(m))))
 
 
 def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
@@ -362,7 +360,9 @@ def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
     Schur basis of the underlying variables.
 
     Uses det(e_{la'_i - i + j}(A)) over the conjugate shape; returns the zero
-    vector when la has more parts than the alphabet has forms.
+    vector when la has more parts than the alphabet has forms.  Every minor,
+    and the largest e_p read, e_(la'_1 - 1 + la_1), has degree at most |la|,
+    which sizes the packed fields.
     """
     if not la:
         return SchurVector(a.var_count, {(): 1})
@@ -370,16 +370,10 @@ def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
         return SchurVector(a.var_count)
     laconj = conjugate(la)
     size = len(laconj)
-    top_index = max(laconj[i] - (i + 1) + size for i in range(size))
-    es = graded_elementary(a, cap=max(top_index, 0))
-    zero = MonomialPoly(a.var_count)
-
-    def e(p: int) -> MonomialPoly:
-        if p < 0 or p >= len(es):
-            return zero
-        return es[p]
-
+    width = sum(la).bit_length()
+    es = [_pack(e.terms, width) for e in graded_elementary(a, cap=laconj[0] - 1 + size)]
     matrix = [
-        [e(laconj[i] - (i + 1) + (j + 1)) for j in range(size)] for i in range(size)
+        [es[p] if 0 <= p < len(es) else {} for p in (laconj[i] - i + j for j in range(size))]
+        for i in range(size)
     ]
-    return schur_from_poly(_poly_det(matrix, a.var_count))
+    return schur_from_poly(_unpack(_poly_det(matrix), a.var_count, width))

@@ -1,3 +1,13 @@
+import os
+from pathlib import Path
+
+# pyproject's pythonpath puts src on this process's path only; the tests that
+# spawn `python -m boolprod` need it on the children's path too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")))
+)
+
+
 def _criterion_line(nodeid: str, word: str):
     tail = nodeid.split("::test_criterion_", 1)[1]
     number, _, label = tail.partition("_")

@@ -150,6 +150,10 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     assert "k" in err
 
+    code, _, err = run_cli(capsys, "lascoux", "--n", "1", "--kind", "exterior")
+    assert code == 2
+    assert "n >= 2" in err
+
 
 def test_malformed_partition_exits_2(capsys):
     with pytest.raises(SystemExit) as info:

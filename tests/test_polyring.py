@@ -142,6 +142,17 @@ def test_packed_fields_hold_a_degree_past_seven_bits():
     assert power == {((130 - j, j) if j else (130,),): comb(130, j) for j in range(66)}
 
 
+def test_packed_fields_hold_a_degree_that_fills_them():
+    # degree 8 needs all four bits of its field; with three, x1^8 would
+    # carry into x2's field
+    x1_4 = MonomialPoly(2, {(4, 0): 1})
+    assert (x1_4 * x1_4).terms == poly_product([x1_4, x1_4], 2).terms == {(8, 0): 1}
+    eight = Alphabet(2, ((1, 0),) * 8)
+    assert alphabet_product(eight).terms == {(8, 0): 1}
+    grades = graded_elementary(eight, cap=8)
+    assert [p.terms for p in grades] == [{(p, 0): comb(8, p)} for p in range(9)]
+
+
 def test_poly_product_matches_left_fold():
     # (x1 + x2)(x1 - x2) cancels x1*x2 in the middle of the product
     forms = [(1, 0, 1), (1, 1, 0), (1, -1, 0), (0, 2, 1), (1, 1, 1), (3, 0, 0)]

@@ -27,7 +27,7 @@ from boolprod.schur import (
     to_mvector,
 )
 from boolprod.tableaux import kostka, partitions_up_to
-from oracles import schur_poly_direct
+from oracles import expand_forms, schur_poly_direct, ssyt_fillings
 
 
 def test_to_mvector_known_values():
@@ -178,7 +178,8 @@ def test_schur_polynomial_matches_ssyt_sum():
                 for i in range(var_count)
             ),
         )
-        for d in range(1, 6):
+        # |la| = 8 fills the four-bit fields of the packed determinant
+        for d in (1, 2, 3, 4, 5, 8):
             for la in partitions_up_to(d, var_count):
                 got = schur_at_alphabet(la, singletons)
                 assert got.terms == {la: 1}
@@ -192,6 +193,27 @@ def test_schur_at_alphabet_example():
     assert schur_at_alphabet((2, 1), pairs).terms == {(3,): 2, (2, 1): 5, (1, 1, 1): 4}
     assert schur_at_alphabet((1,), pairs).terms == {(1,): 2}
     assert schur_at_alphabet((), pairs).terms == {(): 1}
+
+
+@pytest.mark.parametrize(
+    "seeds", [((1, -1),), ((1, -1, 0),), ((2, 1, 0),), ((-2, 1, 1), (2, 0, 0)), ((1, 1, 1), (0, -2, 1))]
+)
+def test_schur_at_alphabet_of_signed_forms_matches_the_tableau_sum(seeds):
+    # s_la(A) is the sum over semistandard tableaux T of shape la, entries
+    # at most |A|, of the product of f_T(c) over the cells c.  The alphabet,
+    # every permutation of the seed forms, is symmetric; its signs and
+    # coefficients past 1 make the determinant's terms cancel.
+    forms = sorted({form for seed in seeds for form in permutations(seed)})
+    n = len(seeds[0])
+    a = Alphabet(n, tuple(forms))
+    for d in range(1, 5):
+        for la in partitions_up_to(d, d):
+            terms = {}
+            for filling in ssyt_fillings(la, len(forms)):
+                cells = [forms[v - 1] for row in filling for v in row]
+                for e, c in expand_forms(cells, n).items():
+                    terms[e] = terms.get(e, 0) + c
+            assert schur_at_alphabet(la, a) == schur_from_poly(MonomialPoly(n, terms)), la
 
 
 def test_schur_at_alphabet_too_long_is_zero():
