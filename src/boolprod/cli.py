@@ -13,14 +13,14 @@ import sys
 import time
 
 from . import __version__
-from .bialphabet import BiSchurVector, dual_cauchy_reference, pjk_expand
+from .bialphabet import dual_cauchy_reference, pjk_expand
 from .boolean import boolean_product, ep_subset, subset_alphabet, total_boolean
 from .derangements import bnm1_q, frobenius_dimension, specialize_q
 from .errors import CapacityError, ConsistencyError
 from .lascoux import binomial_det, gv_count, lascoux_check
 from .polyring import QPoly
 from .resonance import charpoly_ff, charpoly_mobius
-from .schur import SchurVector, schur_at_alphabet
+from .schur import schur_at_alphabet
 from .tableaux import format_partition, parse_partition
 
 
@@ -28,48 +28,38 @@ def partition(text: str):
     return parse_partition(text)
 
 
-def _render_terms(v: SchurVector) -> str:
+def _pair_label(key) -> str:
+    return "s[{}](X) s[{}](Y)".format(*map(format_partition, key))
+
+
+def _pair_fields(key) -> dict:
+    return dict(zip("xy", map(format_partition, key)))
+
+
+def _render_terms(v, label=lambda la: f"s[{format_partition(la)}]") -> str:
     if not v.terms:
         return "0"
     parts = []
-    for la, c in v.items_sorted():
-        label = f"s[{format_partition(la)}]"
+    for key, c in v.items_sorted():
         if isinstance(c, QPoly):
-            parts.append(f"({c}) {label}")
+            parts.append(f"({c}) {label(key)}")
         elif c == 1:
-            parts.append(label)
+            parts.append(label(key))
         else:
-            parts.append(f"{c} {label}")
+            parts.append(f"{c} {label(key)}")
     return " + ".join(parts)
 
 
-def _terms_json(v: SchurVector) -> list:
+def _terms_json(v, fields=lambda la: {"partition": format_partition(la)}) -> list:
     out = []
-    for la, c in v.items_sorted():
-        entry = {"partition": format_partition(la)}
+    for key, c in v.items_sorted():
+        entry = fields(key)
         if isinstance(c, QPoly):
             entry["coeffs_q"] = [str(x) for x in c.coeffs]
         else:
             entry["coeff"] = str(c)
         out.append(entry)
     return out
-
-
-def _render_biterms(v: BiSchurVector) -> str:
-    if not v.terms:
-        return "0"
-    parts = []
-    for (la, mu), c in v.items_sorted():
-        label = f"s[{format_partition(la)}](X) s[{format_partition(mu)}](Y)"
-        parts.append(label if c == 1 else f"{c} {label}")
-    return " + ".join(parts)
-
-
-def _biterms_json(v: BiSchurVector) -> list:
-    return [
-        {"x": format_partition(la), "y": format_partition(mu), "coeff": str(c)}
-        for (la, mu), c in v.items_sorted()
-    ]
 
 
 def _chi_payload(n: int, chi) -> dict:
@@ -157,7 +147,7 @@ def _cmd_bialphabet(args):
     # an expansion that ran fits the reference's box, so it cannot refuse
     if args.j == 1 and args.k == 1 and v.terms != dual_cauchy_reference(args.n, args.m).terms:
         raise ConsistencyError("expansion deviates from the dual Cauchy reference")
-    return {"terms": _biterms_json(v)}, [_render_biterms(v)]
+    return {"terms": _terms_json(v, _pair_fields)}, [_render_terms(v, _pair_label)]
 
 
 def build_parser() -> argparse.ArgumentParser:

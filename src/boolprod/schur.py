@@ -70,9 +70,11 @@ class SchurVector(_TermVector):
         return SchurVector(self.var_count, terms)
 
 
-def _moves(cuts: list, n: int) -> list:
+def _moves(cuts: list) -> list:
     """(permutation of an n-tuple, block name) for the swap (1 2) and the
-    cycle (1 2 ... s) of each block of size s >= 2; they generate S_s."""
+    cycle (1 2 ... s) of each block of size s >= 2; they generate S_s.  The
+    cuts cover all n variables."""
+    n = cuts[-1][1] if cuts else 0
     moves = []
     for lo, hi, name in cuts:
         if hi - lo < 2:
@@ -84,32 +86,20 @@ def _moves(cuts: list, n: int) -> list:
     return moves
 
 
-def _check_symmetric(poly: MonomialPoly, cuts: list) -> None:
-    """Raise AsymmetryError unless poly is symmetric in each block of cuts:
-    every term must keep its coefficient under each block's two generators.
-    The witness is the term's exponent vector and its image, and the error
+def _check_symmetric(counts: Mapping, cuts: list, forms: bool = False) -> None:
+    """Raise AsymmetryError unless every key of counts keeps its count under
+    each block's two generators: the exponent vectors of a polynomial with
+    their coefficients, which makes it symmetric in each block, or with
+    forms=True an alphabet's forms with their multiplicities, which makes
+    their product so.  The witness is a key and its image, and the error
     names that block.
     """
-    moves = _moves(cuts, poly.var_count)
-    terms = poly.terms
-    for exp, c in terms.items():
+    moves = _moves(cuts)
+    for key, c in counts.items():
         for move, name in moves:
-            image = move(exp)
-            if terms.get(image, 0) != c:
-                raise AsymmetryError(exp, image, block=name)
-
-
-def _check_symmetric_forms(a: Alphabet, cuts: list) -> None:
-    """Raise AsymmetryError unless the multiset of forms is invariant under
-    each block's two generators, which makes the product symmetric in each
-    block.  The witness is a form and its image."""
-    moves = _moves(cuts, a.var_count)
-    counts = Counter(a.forms)
-    for form, c in counts.items():
-        for move, name in moves:
-            image = move(form)
-            if counts[image] != c:
-                raise AsymmetryError(form, image, block=name, forms=True)
+            image = move(key)
+            if counts.get(image, 0) != c:
+                raise AsymmetryError(key, image, block=name, forms=forms)
 
 
 def _dominant_terms(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
@@ -117,7 +107,7 @@ def _dominant_terms(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition,
     fix it: those whose exponent vector is weakly decreasing in every block,
     keyed by one partition per block."""
     cuts = block_cuts(blocks, poly.var_count)
-    _check_symmetric(poly, cuts)
+    _check_symmetric(poly.terms, cuts)
     out = {}
     for exp, c in poly.terms.items():
         parts = [exp[lo:hi] for lo, hi, _ in cuts]
@@ -314,7 +304,7 @@ def schur_of_product(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, ...],
     each block, or AsymmetryError names a form and its image.  The result
     must pass check_principal, or ConsistencyError is raised.
     """
-    _check_symmetric_forms(a, block_cuts(blocks, a.var_count))
+    _check_symmetric(Counter(a.forms), block_cuts(blocks, a.var_count), forms=True)
     out = schur_from_dominant(dominant_coefficients(a, blocks), blocks)
     check_principal(out, a, blocks)
     return out

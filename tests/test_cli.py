@@ -14,7 +14,7 @@ import pytest
 
 from boolprod import __version__
 from boolprod.bialphabet import dual_cauchy_reference
-from boolprod.cli import _render_biterms, main
+from boolprod.cli import _pair_label, _render_terms, main
 from boolprod.errors import ConsistencyError
 
 
@@ -219,7 +219,7 @@ def test_bialphabet_box_cap_refuses_before_expanding(capsys, monkeypatch):
     # means it matched the dual Cauchy reference
     code, out, err = run_cli(capsys, "bialphabet", "--n", "5", "--m", "4", "--j", "1", "--k", "1")
     assert (code, err) == (0, "")
-    assert out == _render_biterms(dual_cauchy_reference(5, 4)) + "\n"
+    assert out == _render_terms(dual_cauchy_reference(5, 4), _pair_label) + "\n"
 
     def unreachable(a, blocks):
         raise AssertionError("pjk_expand ran past a refusal")
