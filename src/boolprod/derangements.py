@@ -15,6 +15,7 @@ from math import factorial
 from .boolean import subset_alphabet
 from .errors import CapacityError, ConsistencyError
 from .polyring import Alphabet, QPoly, check_fold_capacity, graded_elementary
+from .polyring import _mul_into, _pack, _unpack
 from .schur import SchurVector, schur_from_poly, schur_of_product
 from .tableaux import _smallest_ascent, num_syt, partitions_up_to, syt_list
 
@@ -74,12 +75,17 @@ def alternating_expansion(n: int) -> SchurVector:
         raise ValueError(f"need n >= 1, got {n}")
     if n > ALTERNATING_MAX_N:
         raise CapacityError(f"alternating expansion capped at n={ALTERNATING_MAX_N}, got {n}")
-    elem = graded_elementary(subset_alphabet(n, 1))
+    width = n.bit_length()
+    elem = [_pack(e.terms, width) for e in graded_elementary(subset_alphabet(n, 1))]
     # Horner in e_1: after step j, total = sum_{i<=j} (-1)^i e_i e_1^(j-i)
     total = elem[0]
     for j in range(1, n + 1):
-        total = total * elem[1] + elem[j].scale((-1) ** j)
-    return schur_from_poly(total)
+        step: dict[int, int] = {}
+        _mul_into(step, total, elem[1])
+        for k, c in elem[j].items():
+            step[k] = step.get(k, 0) + (-c if j % 2 else c)
+        total = {k: c for k, c in step.items() if c}
+    return schur_from_poly(_unpack(total, n, width))
 
 
 def a_coeffs_syt(n: int) -> dict[tuple, int]:

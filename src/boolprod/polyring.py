@@ -207,8 +207,8 @@ def graded_elementary(a: Alphabet, cap: int | None = None) -> list[MonomialPoly]
 # Ceiling on the larger fold of dominant_coefficients, counted as every
 # monomial of its degree, which a fold of forms in few variables nearly fills.
 # Measured as CLI runs on a shared 2-core host: boolean-expand (7,4), at
-# 593,775, takes 19-22 s and 146 MB, and (8,6), at 657,800, about 15 s and
-# 164 MB; the total product at n = 6 (1,533,939) and (8,3) (45,379,620) are
+# 593,775, takes 11-12 s and 145 MB, and (8,6), at 657,800, about 9.5 s and
+# 163 MB; the total product at n = 6 (1,533,939) and (8,3) (45,379,620) are
 # refused.
 FOLD_MAX_MONOMIALS = 1_000_000
 

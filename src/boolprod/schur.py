@@ -2,8 +2,9 @@
 
 One routine, ``schur_from_dominant``, reads a polynomial symmetric in each
 variable block off in the product of the blocks' Schur bases, from its
-coefficients at partitions alone: a signed walk of each partition's
-rearrangements antisymmetrises them against the staircase.  ``block_schur``
+coefficients at partitions alone: one forward pass per block places the
+rearrangements of every partition at once, merging partial placements that
+meet, and antisymmetrises them against the staircase.  ``block_schur``
 picks those coefficients out of a full polynomial after checking that it is
 invariant under a swap and a cycle of each block; ``schur_of_product`` gets
 them from the dominant coefficients of a product of linear forms, never
@@ -19,8 +20,7 @@ Jacobi-Trudi determinant in the alphabet's elementary symmetric polynomials.
 from collections import Counter
 from collections.abc import Mapping
 from functools import cache
-from itertools import permutations, product
-from math import prod
+from itertools import permutations
 from operator import ge, itemgetter
 
 from .errors import AsymmetryError, ConsistencyError
@@ -127,46 +127,6 @@ def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...
     return schur_from_dominant(_dominant_terms(poly, blocks), blocks)
 
 
-def _signed_orbit(mu: Partition, n: int) -> list[tuple[int, int]]:
-    """The Schur expansion of m_mu in n variables, as (mask, c) pairs, the
-    set bits of mask being the entries of la + delta (see _shape): c sums
-    sgn(sigma) over the distinct rearrangements alpha of mu, padded to n
-    parts, whose alpha + delta has distinct entries and sorts, by sigma, to
-    la + delta.  A depth-first walk places one entry at a time, keeping the
-    entries of alpha + delta placed so far as the bits of mask, and prunes
-    as soon as one repeats; an entry placed after k smaller ones adds k
-    inversions.  The last entry is whatever is left of |mu|; an empty block
-    has the one empty arrangement."""
-    if not n:
-        return [] if mu else [(0, 1)]
-    left = Counter(mu)
-    left[0] += n - len(mu)
-    values = sorted(left)
-    counts = [left[v] for v in values]
-    last = n - 1
-    sums: dict[int, int] = {}
-
-    def walk(i: int, taken: int, rest: int, odd: int) -> None:
-        if i == last:
-            bit = 1 << rest
-            if not taken & bit:
-                odd += (taken & (bit - 1)).bit_count()
-                key = taken | bit
-                sums[key] = sums.get(key, 0) + (-1 if odd & 1 else 1)
-            return
-        shift = last - i
-        for j, v in enumerate(values):
-            if counts[j]:
-                bit = 1 << (v + shift)
-                if not taken & bit:
-                    counts[j] -= 1
-                    walk(i + 1, taken | bit, rest - v, odd + (taken & (bit - 1)).bit_count())
-                    counts[j] += 1
-
-    walk(0, 0, sum(mu), 0)
-    return [(mask, c) for mask, c in sums.items() if c]
-
-
 def _shape(mask: int, n: int) -> Partition:
     """The partition la of at most n parts whose la + delta, delta = (n-1,
     ..., 0), has its entries at the set bits of mask: la_i is the i-th
@@ -187,26 +147,48 @@ def schur_from_dominant(
     (Macdonald, Symmetric Functions and Hall Polynomials, I.3).  So each
     monomial c x^alpha of f whose alpha+delta has distinct entries in every
     block adds sgn(sigma) c at sort(alpha+delta) - delta, sigma sorting each
-    block.  These sums are multiplied over the blocks' orbits of mu, each
-    walked once per call and dropped after its last use, and summed by
-    mask; each mask is read as a partition once.
+    block.  One forward pass per block, last to first, places every term's
+    alpha at once, one position at a time with shift s-1 down to 0.  A state
+    (tag, mask, rest) holds in tag the masks of the blocks done and the
+    partitions of the blocks to do, in mask the entries of alpha+delta
+    placed so far as set bits, and in rest the sorted entries left, zeros
+    included.  Each distinct value v of rest moves to bit v + shift unless it
+    is taken, flipping the sign if an odd number of placed entries lie below
+    it; states that meet add their coefficients, and zero sums are dropped
+    after each position.  Each final mask is read as a partition once.
     """
     sizes = [size for size, _ in blocks]
-    uses = Counter(pair for key in dominant for pair in zip(key, sizes))
-    orbits: dict[tuple[Partition, int], list] = {}
-    out: dict[tuple[int, ...], int] = {}
-    for key, c in dominant.items():
-        walked = []
-        for pair in zip(key, sizes):
-            orbit = orbits.pop(pair) if pair in orbits else _signed_orbit(*pair)
-            uses[pair] -= 1
-            if uses[pair]:
-                orbits[pair] = orbit
-            walked.append(orbit)
-        for pairs in product(*walked):
-            masks, signs = zip(*pairs)
-            out[masks] = out.get(masks, 0) + c * prod(signs)
-    return {tuple(map(_shape, masks, sizes)): c for masks, c in out.items() if c}
+    done = dict(dominant)
+    for b in reversed(range(len(sizes))):
+        s = sizes[b]
+        states: dict[tuple, int] = {}
+        for key, c in done.items():
+            mu = key[b]
+            if len(mu) <= s:
+                states[key[:b] + key[b + 1 :], 0, (0,) * (s - len(mu)) + mu[::-1]] = c
+        # rest -> (bit of v, rest less one v) for each distinct v, built once
+        # a pass; the shift is len(rest) - 1, the number of entries after v
+        moves: dict[tuple[int, ...], list] = {}
+        for _ in range(s):
+            merged: dict[tuple, int] = {}
+            get = merged.get
+            for (tag, mask, rest), c in states.items():
+                step = moves.get(rest)
+                if step is None:
+                    step = moves[rest] = [
+                        (1 << (v + len(rest) - 1), rest[:i] + rest[i + 1 :])
+                        for i, v in enumerate(rest)
+                        if not i or rest[i - 1] != v
+                    ]
+                for bit, left in step:
+                    if not mask & bit:
+                        state = tag, mask | bit, left
+                        merged[state] = get(state, 0) + (
+                            -c if (mask & (bit - 1)).bit_count() & 1 else c
+                        )
+            states = {state: c for state, c in merged.items() if c}
+        done = {tag[:b] + (mask,) + tag[b:]: c for (tag, mask, _), c in states.items()}
+    return {tuple(map(_shape, masks, sizes)): c for masks, c in done.items() if c}
 
 
 def _one_block(route, arg, n: int) -> SchurVector:
@@ -255,6 +237,7 @@ def schur_from_poly(p: MonomialPoly) -> SchurVector:
     return _one_block(block_schur, p, p.var_count)
 
 
+@cache
 def _principal_at_two(la: Partition, n: int) -> int:
     """s_la(1, 2, ..., 2^(n-1)) by the hook-content formula
     s_la(1, q, ..., q^(n-1)) = q^b(la) prod_u (q^(n+c(u)) - 1)/(q^h(u) - 1),
@@ -283,11 +266,10 @@ def check_principal(
     for f in a.forms:
         want *= sum(c << i for i, c in enumerate(f, 1))
     cuts = block_cuts(blocks, a.var_count)
-    principal = cache(_principal_at_two)
     got = 0
     for key, c in terms.items():
         for (lo, hi, _), la in zip(cuts, key):
-            c *= principal(la, hi - lo) << (lo + 1) * sum(la)
+            c *= _principal_at_two(la, hi - lo) << (lo + 1) * sum(la)
         got += c
     if got != want:
         raise ConsistencyError(

@@ -13,7 +13,6 @@ from boolprod.schur import (
     MVector,
     SchurVector,
     _shape,
-    _signed_orbit,
     block_schur,
     check_principal,
     m_to_schur,
@@ -153,18 +152,57 @@ def brute_signed_orbit(mu, n):
     return {la: c for la, c in out.items() if c}
 
 
-def test_the_signed_orbit_walk_matches_brute_force():
+def test_the_forward_pass_matches_brute_force():
     for n in range(1, 5):
         for d in range(8):
             for mu in partitions_up_to(d, n):
-                walked = _signed_orbit(mu, n)
-                assert len(dict(walked)) == len(walked)
-                assert {_shape(mask, n): c for mask, c in walked} == brute_signed_orbit(mu, n)
+                got = schur_from_dominant({(mu,): 1}, [(n, None)])
+                assert got == {(la,): c for la, c in brute_signed_orbit(mu, n).items()}
+
+
+def brute_sum(combo, n):
+    """The sum of c times brute_signed_orbit(mu, n) over the pairs mu, c."""
+    out = {}
+    for mu, c in combo.items():
+        for la, e in brute_signed_orbit(mu, n).items():
+            out[la] = out.get(la, 0) + c * e
+    return {la: c for la, c in out.items() if c}
+
+
+def test_the_forward_pass_merges_the_placements_of_many_terms():
+    # integer combinations of several mu of one degree, whose partial
+    # placements meet and are merged, against sums and products of the
+    # brute-force orbits, in one block, two blocks, and beside an empty block
+    combos = [
+        (4, {(4,): 2, (3, 1): -1, (2, 2): 3, (2, 1, 1): 5, (1, 1, 1, 1): -2}),
+        (3, {(3,): 1, (2, 1): -4, (1, 1, 1): 7}),
+        (3, {(5,): 1, (4, 1): 1, (3, 2): -2, (3, 1, 1): 4, (2, 2, 1): -3}),
+        # m_2 + m_11 = s_2 in two variables: the coefficient of s_11 cancels
+        (2, {(2,): 1, (1, 1): 1}),
+    ]
+    y_combo = {(2,): 3, (1, 1): -1}
+    y_want = brute_sum(y_combo, 2)
+    for n, combo in combos:
+        want = brute_sum(combo, n)
+        one = schur_from_dominant({(mu,): c for mu, c in combo.items()}, [(n, None)])
+        assert one == {(la,): c for la, c in want.items()}
+        two = {(mu, nu): c * e for mu, c in combo.items() for nu, e in y_combo.items()}
+        assert schur_from_dominant(two, [(n, "x"), (2, "y")]) == {
+            (la, ka): c * e for la, c in want.items() for ka, e in y_want.items()
+        }
+        assert schur_from_dominant(
+            {((), mu): c for mu, c in combo.items()}, [(0, "x"), (n, "y")]
+        ) == {((), la): c for la, c in want.items()}
+        assert schur_from_dominant(
+            {(mu, ()): c for mu, c in combo.items()}, [(n, "x"), (0, "y")]
+        ) == {(la, ()): c for la, c in want.items()}
+    assert brute_sum({(2,): 1, (1, 1): 1}, 2) == {(2,): 1}
+    # a partition with more parts than its block has no arrangement
+    assert schur_from_dominant({((1, 1, 1),): 5, ((2, 1, 1),): 1}, [(2, None)]) == {}
 
 
 def test_an_empty_block_has_one_empty_arrangement():
-    assert _signed_orbit((), 0) == [(0, 1)] and _shape(0, 0) == ()
-    assert _signed_orbit((1,), 0) == []
+    assert _shape(0, 0) == ()
     assert schur_from_dominant({((), (1, 1)): 1}, [(0, "x"), (2, "y")]) == {((), (1, 1)): 1}
 
 
