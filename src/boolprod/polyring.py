@@ -19,6 +19,7 @@ monomial and for tests.
 """
 
 from collections.abc import Iterable
+from functools import cache
 from math import comb
 
 from .errors import CapacityError
@@ -77,12 +78,18 @@ def _mul_into(dest: dict[int, int], a: dict[int, int], b: dict[int, int]) -> Non
 
 
 def _fold(factors: Iterable[dict[int, int]]) -> dict[int, int]:
-    """Product of packed factors, multiplied in left to right."""
+    """Product of packed factors, multiplied in left to right; CapacityError
+    once the running product holds more than FOLD_MAX_MONOMIALS monomials."""
     acc = {0: 1}
-    for f in factors:
+    for i, f in enumerate(factors, 1):
         nxt: dict[int, int] = {}
         _mul_into(nxt, acc, f)
         acc = nxt
+        if len(acc) > FOLD_MAX_MONOMIALS:
+            raise CapacityError(
+                f"a product folds into {len(acc):,} monomials after {i} factors, "
+                f"above the ceiling of {FOLD_MAX_MONOMIALS:,}"
+            )
     return acc
 
 
@@ -204,8 +211,9 @@ def graded_elementary(a: Alphabet, cap: int | None = None) -> list[MonomialPoly]
     return [_unpack(terms, a.var_count, width) for terms in es]
 
 
-# Ceiling on the larger fold of dominant_coefficients, counted as every
-# monomial of its degree, which a fold of forms in few variables nearly fills.
+# Ceiling on every running fold, which _fold checks after each factor, and on
+# the larger fold of dominant_coefficients counted as every monomial of its
+# degree, which a fold of forms in few variables nearly fills.
 # Measured as CLI runs on a shared 2-core host: boolean-expand (7,4), at
 # 593,775, takes 11-12 s and 145 MB, and (8,6), at 657,800, about 9.5 s and
 # 163 MB; the total product at n = 6 (1,533,939) and (8,3) (45,379,620) are
@@ -218,7 +226,7 @@ def check_fold_capacity(var_count: int, degree: int, product: str | None = None)
     forms in `var_count` variables may exceed FOLD_MAX_MONOMIALS; `product`
     names it in the message.  boolean_product, total_boolean, ep_subset,
     bnm1_q and lascoux_check, whose forms fill their degree, run it before
-    they build a form; pjk_expand's sparse forms keep a form cap."""
+    they build a form; pjk_expand's sparse forms meet it in _fold instead."""
     top = degree - degree // 3
     size = comb(top + var_count - 1, var_count - 1)
     if size > FOLD_MAX_MONOMIALS:
@@ -240,6 +248,15 @@ def block_cuts(blocks: Blocks, var_count: int) -> list:
     if lo != var_count:
         raise ValueError(f"blocks cover {lo} variables, polynomial has {var_count}")
     return cuts
+
+
+@cache
+def _packed_partitions(e: int, lo: int, size: int, width: int) -> list:
+    """(mu, mu packed from field lo) for each partition mu of e in size parts at most."""
+    return [
+        (mu, sum(part << (width * i) for i, part in enumerate(mu, lo)))
+        for mu in partitions_up_to(e, size)
+    ]
 
 
 def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
@@ -266,10 +283,10 @@ def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, 
     keys = [((), guard, d)]
     for b, (lo, hi, _) in enumerate(cuts):
         keys = [
-            (key + (mu,), top + sum(part << (width * i) for i, part in enumerate(mu, lo)), left - e)
+            (key + (mu,), top + packed, left - e)
             for key, top, left in keys
             for e in (range(left + 1) if b < len(cuts) - 1 else (left,))
-            for mu in partitions_up_to(e, hi - lo)
+            for mu, packed in _packed_partitions(e, lo, hi - lo, width)
         ]
     out: dict[tuple[Partition, ...], int] = {}
     for key, top, _ in keys:

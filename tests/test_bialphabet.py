@@ -129,6 +129,16 @@ def test_capacity_limits():
         dual_cauchy_reference(6, 6)  # 36 cells, the forms of pjk_expand(6, 6, 1, 1)
 
 
+def test_the_running_fold_bounds_pjk_expand(monkeypatch):
+    # pjk_expand(3, 3, 1, 1)'s larger fold, of six forms x_i + y_t, holds 54
+    # monomials; the form cap alone would let it run
+    monkeypatch.setattr("boolprod.polyring.FOLD_MAX_MONOMIALS", 54)
+    assert pjk_expand(3, 3, 1, 1).terms == dual_cauchy_reference(3, 3).terms
+    monkeypatch.setattr("boolprod.polyring.FOLD_MAX_MONOMIALS", 53)
+    with pytest.raises(CapacityError, match="above the ceiling of 53"):
+        pjk_expand(3, 3, 1, 1)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         pjk_expand(2, 2, 3, 1)

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from boolprod.errors import ConsistencyError
+from boolprod.errors import CapacityError, ConsistencyError
 from boolprod.polyring import (
     Alphabet,
     MonomialPoly,
@@ -151,6 +151,16 @@ def test_packed_fields_hold_a_degree_that_fills_them():
     assert alphabet_product(eight).terms == {(8, 0): 1}
     grades = graded_elementary(eight, cap=8)
     assert [p.terms for p in grades] == [{(p, 0): comb(8, p)} for p in range(9)]
+
+
+def test_a_running_fold_past_the_ceiling_is_refused(monkeypatch):
+    # (x1 + x2)^p holds p + 1 monomials: the third factor takes it past 3
+    monkeypatch.setattr("boolprod.polyring.FOLD_MAX_MONOMIALS", 3)
+    assert alphabet_product(Alphabet(2, ((1, 1),) * 2)).terms == {
+        (2, 0): 1, (1, 1): 2, (0, 2): 1
+    }
+    with pytest.raises(CapacityError, match="4 monomials after 3 factors"):
+        alphabet_product(Alphabet(2, ((1, 1),) * 5))
 
 
 def test_poly_product_matches_left_fold():

@@ -9,6 +9,7 @@ from boolprod.derangements import bnm1_q
 from boolprod.errors import AsymmetryError, ConsistencyError
 from boolprod.lascoux import lascoux_check
 from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product
+from boolprod import polyring, schur
 from boolprod.schur import (
     MVector,
     SchurVector,
@@ -204,6 +205,64 @@ def test_the_forward_pass_merges_the_placements_of_many_terms():
 def test_an_empty_block_has_one_empty_arrangement():
     assert _shape(0, 0) == ()
     assert schur_from_dominant({((), (1, 1)): 1}, [(0, "x"), (2, "y")]) == {((), (1, 1)): 1}
+
+
+def bit_scan_shape(mask, n):
+    """_shape by a scan of every bit below the top one."""
+    bits = [b for b in range(mask.bit_length())[::-1] if mask >> b & 1]
+    return tuple(b - n + 1 + i for i, b in enumerate(bits) if b + i >= n)
+
+
+def test_the_shape_read_by_set_bits_matches_a_scan_of_every_bit():
+    for n in range(8):
+        for mask in range(1 << 12):
+            assert _shape(mask, n) == bit_scan_shape(mask, n), (mask, n)
+
+
+def fresh_steps(rest):
+    return [
+        (1 << (v + len(rest) - 1), rest[:i] + rest[i + 1 :])
+        for i, v in enumerate(rest)
+        if not i or rest[i - 1] != v
+    ]
+
+
+def test_every_stored_move_equals_a_fresh_one():
+    boolean_product(5, 2)
+    pjk_expand(2, 3, 1, 2)
+    schur_of_graded_product(subset_alphabet(4, 2))
+    keys = {id(rest) for rest in schur._MOVES}
+    built = 0
+    for rest, (key, steps) in schur._MOVES.items():
+        assert key is rest
+        if steps is not None:
+            built += 1
+            assert steps == fresh_steps(rest)
+            # each left is stored once, as the table's own key
+            assert all(id(left) in keys for _, left in steps)
+    assert built
+
+
+def test_the_shared_tables_do_not_change_results_in_either_order():
+    products = [
+        lambda: schur_of_product(subset_alphabet(5, 2), [(5, None)]),
+        lambda: schur_of_product(subset_alphabet(4, 3), [(4, None)]),
+        lambda: schur_of_graded_product(subset_alphabet(4, 2)),
+        lambda: schur_of_graded_product(subset_alphabet(3, 1)),
+        lambda: pjk_expand(2, 3, 1, 2),
+        lambda: pjk_expand(3, 2, 2, 1),
+        lambda: m_to_schur(MVector(4, {(3, 1): 2, (2, 2): -1, (2, 1, 1): 5})),
+    ]
+
+    def clear():
+        schur._MOVES.clear()
+        polyring._packed_partitions.cache_clear()
+
+    clear()
+    forward = [product() for product in products]
+    clear()
+    backward = [product() for product in reversed(products)]
+    assert forward == backward[::-1]
 
 
 def test_schur_polynomial_matches_ssyt_sum():
