@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .bialphabet import dual_cauchy_reference, pjk_expand
@@ -98,13 +99,8 @@ def _cmd_lascoux(args):
     )
 
 
-def _cmd_binom_det(args):
-    value = binomial_det(args.la, args.mu, args.dim)
-    return {"value": str(value)}, [str(value)]
-
-
-def _cmd_gv_count(args):
-    value = gv_count(args.la, args.mu, args.dim)
+def _cmd_binomial(route, args):
+    value = route(args.la, args.mu, args.dim)
     return {"value": str(value)}, [str(value)]
 
 
@@ -192,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("exterior", "symmetric"), required=True)
     p.set_defaults(func=_cmd_lascoux)
 
-    for name, func in (("binom-det", _cmd_binom_det), ("gv-count", _cmd_gv_count)):
+    for name, route in (("binom-det", binomial_det), ("gv-count", gv_count)):
         p = sub.add_parser(name, parents=[common],
                            help="binomial determinant (direct or by path enumeration)")
         p.add_argument("--lambda", dest="la", type=partition, required=True)
         p.add_argument("--mu", type=partition, required=True)
         p.add_argument("--dim", type=int, required=True)
-        p.set_defaults(func=func)
+        p.set_defaults(func=partial(_cmd_binomial, route))
 
     p = sub.add_parser("derangement", parents=[common],
                        help="q-deformed (n, n-1) expansion, optionally evaluated at q")

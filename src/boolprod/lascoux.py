@@ -15,7 +15,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import CapacityError, ConsistencyError
-from .polyring import Alphabet, check_fold_capacity
+from .polyring import Alphabet, _int_det, check_fold_capacity
 from .record import Record
 from .schur import SchurVector, schur_of_graded_product
 from .tableaux import Partition, contains, staircase, subpartitions
@@ -38,31 +38,6 @@ def _endpoints(la: Partition, mu: Partition, n: int) -> tuple[tuple[int, ...], t
         return tuple(part + n - 1 - i for i, part in enumerate(p + (0,) * (n - len(p))))
 
     return heights(la), heights(mu)
-
-
-def _int_det(m: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination; exact over arbitrary ints."""
-    size = len(m)
-    if size == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[size - 1][size - 1]
 
 
 def binomial_det(la: Partition, mu: Partition, n: int) -> int:

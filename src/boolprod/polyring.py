@@ -3,11 +3,11 @@
 Sparse coefficients are Python ints (arbitrary precision).  Every sparse
 product is one loop, ``_mul_into``, over exponent vectors packed into ints:
 the exponent of x_i sits in the field at width*i, wide enough for a degree
-bound the caller knows.  ``MonomialPoly`` keeps tuple exponent vectors and
-packs only at that boundary.  Products of many factors are multiplied in one
-factor at a time: a partial product of forms in a few variables fills almost
-every monomial of its degree, so a balanced tree's root multiply would cost
-far more.
+bound the caller knows.  No other module sees that format: ``MonomialPoly``
+keeps tuple exponent vectors and packs only at this boundary.  Products of
+many factors are multiplied in one factor at a time: a partial product of
+forms in a few variables fills almost every monomial of its degree, so a
+balanced tree's root multiply would cost far more.
 
 ``dominant_coefficients`` reads only the coefficients of x^mu, mu a
 partition in each variable block, off a product of linear forms, without
@@ -298,6 +298,31 @@ def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, 
         if total:
             out[key] = total
     return out
+
+
+def _int_det(m: list[list[int]]) -> int:
+    """Bareiss fraction-free elimination; exact over arbitrary ints."""
+    size = len(m)
+    if size == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, size):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[size - 1][size - 1]
 
 
 class QPoly(FrozenRecord):

@@ -12,9 +12,10 @@ built, guarded by an invariance check on the forms and a
 principal-specialisation self-check in every block;
 ``schur_of_graded_product`` does so for the product of the 1 + f, whose
 degree-p part is e_p of the forms.  ``schur_to_m`` goes back through Kostka
-numbers.  ``schur_at_alphabet``
-evaluates a Schur polynomial at the forms of an alphabet through the dual
-Jacobi-Trudi determinant in the alphabet's elementary symmetric polynomials.
+numbers.  ``schur_at_alphabet`` evaluates a Schur polynomial at the forms of
+an alphabet through the dual Jacobi-Trudi determinant in their e_p, taken on
+m-basis dicts by ``_m_product``, as is the Horner sum of
+``derangements.alternating_expansion``; neither sees polyring's packed keys.
 
 Shape work that does not depend on the product is shared by every read-off in
 the process: ``_MOVES`` holds the moves of each sorted tuple of entries left to
@@ -27,12 +28,12 @@ After ``boolean_product(7, 4)`` they hold 32,149 tuples (about 19 MB) and
 from collections import Counter
 from collections.abc import Mapping
 from functools import cache
-from itertools import permutations
-from operator import ge, itemgetter
+from itertools import permutations, product
+from operator import ge, itemgetter, sub
 
 from .errors import AsymmetryError, ConsistencyError
 from .polyring import Alphabet, Blocks, MonomialPoly, block_cuts, dominant_coefficients
-from .polyring import _mul_into, _pack, _unpack, graded_elementary
+from .polyring import _int_det, graded_elementary
 from .record import Record
 from .tableaux import Partition, conjugate, kostka, partitions_up_to
 
@@ -274,18 +275,12 @@ def _principal_at_two(la: Partition, n: int) -> int:
     return quot << sum(i * part for i, part in enumerate(la))
 
 
-def check_principal(
-    terms: Mapping[tuple[Partition, ...], int], a: Alphabet, blocks: Blocks
-) -> None:
-    """Raise ConsistencyError unless the expansion in the blocks' Schur bases
-    specialises like the product of the alphabet's forms at x_i = 2^i, i >= 1.
+def _check_at_two(terms: Mapping, cuts: list, want: int, what: str) -> None:
+    """Raise ConsistencyError unless the expansion in the blocks' Schur bases,
+    cut as block_cuts gives them, specialises to want at x_i = 2^i, i >= 1.
     A block x_(lo+1), ..., x_(lo+s) then takes s_la to 2^((lo+1)|la|) *
     s_la(1, 2, ..., 2^(s-1)); the scale keeps a one-variable block off 1,
     where a term moved between its degrees would not show."""
-    want = 1
-    for f in a.forms:
-        want *= sum(c << i for i, c in enumerate(f, 1))
-    cuts = block_cuts(blocks, a.var_count)
     got = 0
     for key, c in terms.items():
         for (lo, hi, _), la in zip(cuts, key):
@@ -294,8 +289,19 @@ def check_principal(
     if got != want:
         raise ConsistencyError(
             f"self-check failed: the Schur expansion specialises to {got} at "
-            f"x_i = 2^i, the product of forms to {want}"
+            f"x_i = 2^i, {what} to {want}"
         )
+
+
+def check_principal(
+    terms: Mapping[tuple[Partition, ...], int], a: Alphabet, blocks: Blocks
+) -> None:
+    """Raise ConsistencyError unless the expansion in the blocks' Schur bases
+    specialises like the product of the alphabet's forms; see _check_at_two."""
+    want = 1
+    for f in a.forms:
+        want *= sum(c << i for i, c in enumerate(f, 1))
+    _check_at_two(terms, block_cuts(blocks, a.var_count), want, "the product of forms")
 
 
 def schur_of_product(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
@@ -323,49 +329,77 @@ def schur_of_graded_product(a: Alphabet) -> SchurVector:
     return SchurVector(n, {la: c for (_, la), c in terms.items()})
 
 
-def _poly_det(m: list[list[dict[int, int]]]) -> dict[int, int]:
-    """Determinant of a matrix of packed term dicts; Laplace expansion down
-    the rows, memoized on the live column set (fine for the small
-    Jacobi-Trudi sizes used here), each minor purged of zeros."""
-    cache: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+def _splits(mu: Partition, e: int) -> Counter:
+    """(sort alpha, sort(mu - alpha)) -> how many alpha, over the compositions
+    alpha <= mu, part by part, with |alpha| = e."""
+    return Counter(
+        (tuple(sorted(filter(None, alpha), reverse=True)),
+         tuple(sorted(filter(None, map(sub, mu, alpha)), reverse=True)))
+        for alpha in product(*(range(m + 1) for m in mu))
+        if sum(alpha) == e
+    )
 
-    def minor(row: int, cols: tuple[int, ...]) -> dict[int, int]:
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        acc: dict[int, int] = {}
-        for pos, col in enumerate(cols):
-            entry = m[row][col]
-            if entry:
-                if pos % 2:
-                    entry = {k: -c for k, c in entry.items()}
-                _mul_into(acc, entry, minor(row + 1, cols[:pos] + cols[pos + 1 :]))
-        acc = {k: c for k, c in acc.items() if c}
-        cache[cols] = acc
-        return acc
 
-    return minor(0, tuple(range(len(m))))
+def _m_product(p: Mapping, dp: int, q: Mapping, dq: int, n: int, splits) -> dict:
+    """Product of symmetric polynomials in n variables, homogeneous of degrees
+    dp and dq, by m-basis dicts partition -> coefficient: (pq)[mu] = sum
+    p[sort alpha] q[sort(mu - alpha)] over the compositions alpha <= mu with
+    |alpha| = dp; splits is _splits, memoised for one caller."""
+    return {
+        mu: sum(c * p.get(a, 0) * q.get(b, 0) for (a, b), c in splits(mu, dp).items())
+        for mu in (partitions_up_to(dp + dq, n) if p and q else ())
+    }
+
+
+def _poly_det(es: list[dict], base: list[int], n: int) -> dict:
+    """det(e_(base_i + j)), e_p of degree p in n variables given by its m-basis
+    dict es[p] (0 for p < 0 or past es), by Laplace expansion down the rows,
+    memoized on the live column set.  The minor of the rows from i and the
+    columns cols has degree sum(base[i:]) + sum(cols), 0 if that is < 0."""
+    splits = cache(_splits)
+    minors: dict[tuple[int, ...], dict] = {(): {(): 1}}
+
+    def minor(row: int, cols: tuple[int, ...]) -> dict:
+        if cols not in minors:
+            acc: dict[Partition, int] = {}
+            degree = sum(base[row:]) + sum(cols)
+            for pos, col in enumerate(cols):
+                p = base[row] + col
+                if degree >= 0 and 0 <= p < len(es):
+                    rest = minor(row + 1, cols[:pos] + cols[pos + 1 :])
+                    for mu, c in _m_product(es[p], p, rest, degree - p, n, splits).items():
+                        acc[mu] = acc.get(mu, 0) + (-c if pos % 2 else c)
+            minors[cols] = {mu: c for mu, c in acc.items() if c}
+        return minors[cols]
+
+    return minor(0, tuple(range(len(base))))
 
 
 def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
     """Schur polynomial of the alphabet's forms, expanded back in the
     Schur basis of the underlying variables.
 
-    Uses det(e_{la'_i - i + j}(A)) over the conjugate shape; returns the zero
-    vector when la has more parts than the alphabet has forms.  Every minor,
-    and the largest e_p read, e_(la'_1 - 1 + la_1), has degree at most |la|,
-    which sizes the packed fields.
+    Uses det(e_{la'_i - i + j}(A)) over the conjugate shape, taken in the
+    monomial-symmetric basis, where each e_p must be symmetric (else
+    AsymmetryError); returns the zero vector when la has more parts than the
+    alphabet has forms.  The result must specialise at x_i = 2^i like that
+    determinant of the integers f(2, 4, ..., 2^n), or ConsistencyError.
     """
+    n = a.var_count
     if not la:
-        return SchurVector(a.var_count, {(): 1})
+        return SchurVector(n, {(): 1})
     if len(la) > len(a.forms):
-        return SchurVector(a.var_count)
+        return SchurVector(n)
     laconj = conjugate(la)
-    size = len(laconj)
-    width = sum(la).bit_length()
-    es = [_pack(e.terms, width) for e in graded_elementary(a, cap=laconj[0] - 1 + size)]
-    matrix = [
-        [es[p] if 0 <= p < len(es) else {} for p in (laconj[i] - i + j for j in range(size))]
-        for i in range(size)
-    ]
-    return schur_from_poly(_unpack(_poly_det(matrix), a.var_count, width))
+    base = [part - i for i, part in enumerate(laconj)]
+    es = [to_mvector(e).terms for e in graded_elementary(a, cap=laconj[0] - 1 + len(base))]
+    out = m_to_schur(MVector(n, _poly_det(es, base, n)))
+    ints = [1] + [0] * (len(es) - 1)
+    for f in a.forms:
+        v = sum(c << i for i, c in enumerate(f, 1))
+        for p in range(len(es) - 1, 0, -1):
+            ints[p] += v * ints[p - 1]
+    rows = [[ints[b + j] if 0 <= b + j < len(es) else 0 for j in range(len(base))] for b in base]
+    terms = {(mu,): c for mu, c in out.terms.items()}
+    _check_at_two(terms, [(0, n, None)], _int_det(rows), f"s_{la} of the forms")
+    return out

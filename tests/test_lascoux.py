@@ -54,7 +54,10 @@ def test_binomial_det_nonnegative_on_contained():
                 assert binomial_det(la, mu, n) >= 0
 
 
-def test_gv_known_values():
+def test_gv_known_values(monkeypatch):
+    # the path count reaches no determinant code
+    for name in ("lascoux.binomial_det", "lascoux._int_det", "polyring._int_det"):
+        monkeypatch.setattr(f"boolprod.{name}", None)
     assert gv_count((1,), (), 2) == 2
     assert gv_count((2, 1), (1,), 3) == 8
     for la in ((), (1,), (1, 1), (2, 1)):

@@ -5,15 +5,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from boolprod.bialphabet import pjk_expand
 from boolprod.boolean import boolean_product, ep_subset, subset_alphabet
-from boolprod.derangements import bnm1_q
+from boolprod.derangements import alternating_expansion, bnm1_q
 from boolprod.errors import AsymmetryError, ConsistencyError
 from boolprod.lascoux import lascoux_check
-from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product
+from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product, graded_elementary
+from boolprod.polyring import poly_product
 from boolprod import polyring, schur
 from boolprod.schur import (
     MVector,
     SchurVector,
+    _m_product,
     _shape,
+    _splits,
     block_schur,
     check_principal,
     m_to_schur,
@@ -26,7 +29,7 @@ from boolprod.schur import (
     schur_to_m,
     to_mvector,
 )
-from boolprod.tableaux import kostka, partitions_up_to
+from boolprod.tableaux import conjugate, kostka, partitions_up_to
 from oracles import expand_forms, schur_poly_direct, ssyt_fillings
 
 
@@ -311,6 +314,84 @@ def test_schur_at_alphabet_of_signed_forms_matches_the_tableau_sum(seeds):
                 for e, c in expand_forms(cells, n).items():
                     terms[e] = terms.get(e, 0) + c
             assert schur_at_alphabet(la, a) == schur_from_poly(MonomialPoly(n, terms)), la
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_the_m_basis_product_matches_the_full_product(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    dp, dq = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    coeff = st.integers(min_value=-3, max_value=3)
+    p = {mu: data.draw(coeff) for mu in partitions_up_to(dp, n)}
+    q = {mu: data.draw(coeff) for mu in partitions_up_to(dq, n)}
+    full = poly_product([mvector_expand(MVector(n, p)), mvector_expand(MVector(n, q))], n)
+    assert MVector(n, _m_product(p, dp, q, dq, n, _splits)).terms == to_mvector(full).terms
+
+
+def dense_schur_at(la, a):
+    """s_la(A) by the dual Jacobi-Trudi determinant expanded over every
+    permutation, on graded_elementary's full polynomials, read off by
+    schur_from_poly."""
+    n, laconj = a.var_count, conjugate(la)
+    es = graded_elementary(a)
+    total = MonomialPoly(n)
+    for perm in permutations(range(len(laconj))):
+        inversions = sum(x > y for i, x in enumerate(perm) for y in perm[i + 1 :])
+        term = MonomialPoly.constant(n, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            p = laconj[i] - i + j
+            term = term * es[p] if 0 <= p < len(es) else MonomialPoly(n)
+        total = total + term
+    return schur_from_poly(total)
+
+
+def test_schur_at_alphabet_matches_the_dense_determinant():
+    cases = [((4, 3, 2, 1), subset_alphabet(6, 3))]
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            a = subset_alphabet(n, k)
+            cases += [(la, a) for d in range(6) for la in partitions_up_to(d, d)]
+    for la, a in cases:
+        assert schur_at_alphabet(la, a) == dense_schur_at(la, a), (la, a)
+
+
+def test_a_non_invariant_alphabet_is_read_only_as_far_as_its_e_p_go():
+    # (2x1, x2, x2): e_1 = 2x1 + 2x2 is symmetric, e_2 = 4x1x2 + x2^2 is not
+    a = Alphabet(2, ((2, 0), (0, 1), (0, 1)))
+    assert schur_at_alphabet((1,), a).terms == {(1,): 2}
+    with pytest.raises(AsymmetryError):
+        schur_at_alphabet((2,), a)
+
+
+def test_schur_at_and_the_alternating_sum_build_no_full_polynomial(monkeypatch):
+    want = {n: alternating_expansion(n) for n in range(1, 8)}
+    dense = dense_schur_at((3, 1), subset_alphabet(4, 2))
+
+    def refuse(*args):
+        raise AssertionError("a full polynomial was read off")
+
+    monkeypatch.setattr(schur, "schur_from_poly", refuse)
+    monkeypatch.setattr(schur, "block_schur", refuse)
+    assert schur_at_alphabet((2, 1), subset_alphabet(3, 2)).terms == {
+        (3,): 2, (2, 1): 5, (1, 1, 1): 4
+    }
+    assert schur_at_alphabet((3, 1), subset_alphabet(4, 2)) == dense
+    assert {n: alternating_expansion(n) for n in want} == want
+
+
+def test_the_schur_at_self_check_catches_a_changed_coefficient(monkeypatch):
+    honest = schur.m_to_schur
+    a, la = subset_alphabet(4, 2), (2, 1)
+    for key in schur_at_alphabet(la, a).terms:
+
+        def off_by_one(v, key=key):
+            out = honest(v)
+            out.terms[key] += 1
+            return out
+
+        monkeypatch.setattr(schur, "m_to_schur", off_by_one)
+        with pytest.raises(ConsistencyError, match="self-check"):
+            schur_at_alphabet(la, a)
 
 
 def test_schur_at_alphabet_too_long_is_zero():
