@@ -15,13 +15,13 @@ from functools import partial
 
 from . import __version__
 from .bialphabet import dual_cauchy_reference, pjk_expand
-from .boolean import boolean_product, ep_subset, subset_alphabet, total_boolean
+from .boolean import _subset_count, boolean_product, ep_subset, subset_alphabet, total_boolean
 from .derangements import bnm1_q, frobenius_dimension, specialize_q
 from .errors import CapacityError, ConsistencyError
 from .lascoux import binomial_det, gv_count, lascoux_check
 from .polyring import QPoly
 from .resonance import charpoly_ff, charpoly_mobius
-from .schur import schur_at_alphabet
+from .schur import check_schur_at_capacity, schur_at_alphabet
 from .tableaux import format_partition, parse_partition
 
 
@@ -86,6 +86,8 @@ def _cmd_total(args):
 
 
 def _cmd_schur_at(args):
+    # the ceiling needs only the form count, so it runs before the forms are built
+    check_schur_at_capacity(args.la, args.n, _subset_count(args.n, args.k))
     v = schur_at_alphabet(args.la, subset_alphabet(args.n, args.k))
     return {"terms": _terms_json(v)}, [_render_terms(v)]
 

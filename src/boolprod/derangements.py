@@ -14,10 +14,10 @@ from math import factorial
 
 from .errors import CapacityError, ConsistencyError
 from .polyring import Alphabet, QPoly, check_fold_capacity
-from .schur import MVector, SchurVector, _m_product, _splits, m_to_schur, schur_of_product
+from .schur import MVector, SchurVector, _m_product, m_to_schur, schur_of_product
 from .tableaux import _smallest_ascent, num_syt, partitions_up_to, syt_list
 
-ALTERNATING_MAX_N = 18  # n=18 sums and reads off in 1.7-2.3 s at 30 MB, n=17 in 0.9-1.0 s
+ALTERNATING_MAX_N = 21  # n=21 sums and reads off in 1.1-1.2 s at 63 MB, n=22 in 1.9-2.0 s at 87 MB
 SYT_COEFF_MAX_N = 11  # n=11 walks all 35,696 standard tableaux in 0.15-0.26 s at 19 MB
 
 
@@ -76,7 +76,7 @@ def alternating_expansion(n: int) -> SchurVector:
     # after step j, total = sum_{i<=j} (-1)^i e_i e_1^(j-i)
     total = {(): 1}
     for j in range(1, n + 1):
-        total = _m_product({(1,): 1}, 1, total, j - 1, n, _splits)
+        total = _m_product({(1,): 1}, 1, total, j - 1, n)
         total[(1,) * j] = total.get((1,) * j, 0) + (-1) ** j
     return m_to_schur(MVector(n, total))
 

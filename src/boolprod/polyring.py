@@ -12,15 +12,20 @@ balanced tree's root multiply would cost far more.
 ``dominant_coefficients`` reads only the coefficients of x^mu, mu a
 partition in each variable block, off a product of linear forms, without
 building the product: it folds a third of the forms and the rest separately
-and takes one dot product per mu.  ``alphabet_product`` and
-``graded_elementary`` build full products, for callers that need every
-monomial and for tests.
+and takes one dot product per mu.  It takes none for a mu that no choice of
+one variable per form can reach: each form gives its degree to one variable
+it contains, so the first j variables of a block carry no more degree than
+there are forms touching them (Hall's marriage condition, P. Hall 1935).
+``alphabet_product`` and ``graded_elementary`` build full products, for
+callers that need every monomial and for tests.
 ``QPoly`` is the dense univariate type, trimmed of trailing zeros.
 """
 
 from collections.abc import Iterable
 from functools import cache
+from itertools import accumulate
 from math import comb
+from operator import le
 
 from .errors import CapacityError
 from .record import FrozenRecord
@@ -259,17 +264,56 @@ def _packed_partitions(e: int, lo: int, size: int, width: int) -> list:
     ]
 
 
+@cache
+def _capped_partitions(e: int, lo: int, size: int, width: int, caps: tuple) -> list:
+    """The entries of _packed_partitions(e, lo, size, width) whose mu has
+    mu_1 + ... + mu_j <= caps[j - 1] for every j; the same list when no cap
+    can bind, as every sum is at most e."""
+    parts = _packed_partitions(e, lo, size, width)
+    if caps and e > caps[0]:
+        return [(mu, packed) for mu, packed in parts if all(map(le, accumulate(mu), caps))]
+    return parts
+
+
+def _dominant_keys(a: Alphabet, cuts: list, width: int) -> list:
+    """(key, packed mu, 0) for each key of dominant_coefficients that meets
+    the caps: mu_1 + ... + mu_j <= N_b(j) in every block b, N_b(j) being the
+    number of forms with a nonzero coefficient among its first j variables.
+    A monomial of the product picks one variable with a nonzero coefficient
+    from each form, so one past a cap has coefficient 0 whatever the forms'
+    signs; every other key is kept."""
+    # (key, packed mu, size left) for every choice in the blocks so far
+    keys = [((), 0, len(a.forms))]
+    for b, (lo, hi, _) in enumerate(cuts):
+        firsts = [0] * (hi - lo)  # forms by their first variable in the block
+        for f in a.forms:
+            for i in range(lo, hi):
+                if f[i]:
+                    firsts[i - lo] += 1
+                    break
+        caps = tuple(accumulate(firsts))
+        last = b == len(cuts) - 1
+        keys = [
+            (key + (mu,), top + packed, left - e)
+            for key, top, left in keys
+            for e in ((left,) if last else range(left + 1))
+            for mu, packed in _capped_partitions(e, lo, hi - lo, width, caps)
+        ]
+    return keys
+
+
 def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
     """Coefficient of x^mu in the product of the alphabet's forms, for every
     mu that is a partition in each block, keyed by one partition per block
     (at most the block's size parts, sizes summing to the degree d = |A|);
     zeros are left out.  A product symmetric in each block is fixed by these.
 
-    The first d//3 forms and the rest are folded separately, and then
-    M[mu] = sum small[alpha] * big[mu - alpha], walking the smaller fold.
-    Each field of a packed key holds a value up to d plus one guard bit, so
-    with every guard bit set in G, mu - alpha is borrow-free (alpha <= mu in
-    every variable) iff ((mu | G) - alpha) & G == G.
+    Only the keys of _dominant_keys are read; the rest are 0 by Hall's
+    condition, for any integer forms.  The first d//3 forms and the rest are
+    folded separately, and then M[mu] = sum small[alpha] * big[mu - alpha],
+    walking the smaller fold.  Each field of a packed key holds a value up
+    to d plus one guard bit, so with every guard bit set in G, mu - alpha is
+    borrow-free (alpha <= mu in every variable) iff ((mu | G) - alpha) & G == G.
     """
     n, d = a.var_count, len(a.forms)
     cuts = block_cuts(blocks, n)
@@ -279,17 +323,9 @@ def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, 
     small = list(_fold(_pack_form(f, width) for f in a.forms[:cut]).items())
     big = _fold(_pack_form(f, width) for f in a.forms[cut:])
     get = big.get
-    # (key, packed mu | G, size left) for every choice in the blocks so far
-    keys = [((), guard, d)]
-    for b, (lo, hi, _) in enumerate(cuts):
-        keys = [
-            (key + (mu,), top + packed, left - e)
-            for key, top, left in keys
-            for e in (range(left + 1) if b < len(cuts) - 1 else (left,))
-            for mu, packed in _packed_partitions(e, lo, hi - lo, width)
-        ]
     out: dict[tuple[Partition, ...], int] = {}
-    for key, top, _ in keys:
+    for key, packed, _ in _dominant_keys(a, cuts, width):
+        top = packed | guard
         total = 0
         for alpha, c in small:
             rest = top - alpha

@@ -22,20 +22,25 @@ the process: ``_MOVES`` holds the moves of each sorted tuple of entries left to
 place, keyed by that tuple, and ``polyring._packed_partitions`` a block's
 packed partitions, keyed by (degree, first field, block size, field width).
 After ``boolean_product(7, 4)`` they hold 32,149 tuples (about 19 MB) and
-3,539 partitions (0.65 MB).
+3,539 partitions (0.65 MB).  ``_splits`` holds the split pairs of each
+(mu, e) an m-basis product meets, each partition stored once in
+``_SPLIT_PARTS``: 1,596 entries (about 0.5 MB) after
+``alternating_expansion(18)`` and 4,539 (6.6 MB) after s_(6,6,6) of the
+(7,3) alphabet.
 """
 
 from collections import Counter
 from collections.abc import Mapping
 from functools import cache
-from itertools import permutations, product
-from operator import ge, itemgetter, sub
+from itertools import accumulate, combinations_with_replacement, groupby, permutations
+from math import comb, factorial
+from operator import ge, itemgetter
 
-from .errors import AsymmetryError, ConsistencyError
+from .errors import AsymmetryError, CapacityError, ConsistencyError
 from .polyring import Alphabet, Blocks, MonomialPoly, block_cuts, dominant_coefficients
 from .polyring import _int_det, graded_elementary
 from .record import Record
-from .tableaux import Partition, conjugate, kostka, partitions_up_to
+from .tableaux import Partition, conjugate, format_partition, kostka, partitions_up_to
 
 
 class _TermVector(Record):
@@ -329,24 +334,58 @@ def schur_of_graded_product(a: Alphabet) -> SchurVector:
     return SchurVector(n, {la: c for (_, la), c in terms.items()})
 
 
-def _splits(mu: Partition, e: int) -> Counter:
-    """(sort alpha, sort(mu - alpha)) -> how many alpha, over the compositions
-    alpha <= mu, part by part, with |alpha| = e."""
-    return Counter(
-        (tuple(sorted(filter(None, alpha), reverse=True)),
-         tuple(sorted(filter(None, map(sub, mu, alpha)), reverse=True)))
-        for alpha in product(*(range(m + 1) for m in mu))
-        if sum(alpha) == e
-    )
+# one object per partition that _splits holds, which keeps its table small
+_SPLIT_PARTS: dict[Partition, Partition] = {}
 
 
-def _m_product(p: Mapping, dp: int, q: Mapping, dq: int, n: int, splits) -> dict:
+@cache
+def _splits(mu: Partition, e: int) -> tuple:
+    """(sort alpha, sort(mu - alpha), how many alpha) over the compositions
+    alpha <= mu, part by part, with |alpha| = e.
+
+    The copies of a part are interchangeable, so each distinct part m of mu,
+    with k copies, gives them a multiset of k values in 0..m, which k!/prod
+    c_v! compositions share, c_v being the copies that take v.  A multiset
+    is taken only if it does not pass what is left of e and the parts after
+    it have room for the rest.
+    """
+    groups = sorted(Counter(mu).items(), reverse=True)
+    room = list(accumulate((m * k for m, k in reversed(groups)), initial=0))[::-1]
+    out: dict[tuple[Partition, Partition], int] = {}
+
+    def place(g: int, left: int, alpha: tuple, beta: tuple, ways: int) -> None:
+        if g == len(groups):
+            a, b = tuple(sorted(alpha, reverse=True)), tuple(sorted(beta, reverse=True))
+            pair = _SPLIT_PARTS.setdefault(a, a), _SPLIT_PARTS.setdefault(b, b)
+            out[pair] = out.get(pair, 0) + ways
+            return
+        m, k = groups[g]
+        for values in combinations_with_replacement(range(m, -1, -1), k):
+            taken = sum(values)
+            if left - room[g + 1] <= taken <= left:
+                share = factorial(k)
+                for _, run in groupby(values):
+                    share //= factorial(len(list(run)))
+                place(
+                    g + 1,
+                    left - taken,
+                    alpha + tuple(v for v in values if v),
+                    beta + tuple(m - v for v in values if v < m),
+                    ways * share,
+                )
+
+    if 0 <= e <= room[0]:
+        place(0, e, (), (), 1)
+    return tuple((a, b, c) for (a, b), c in out.items())
+
+
+def _m_product(p: Mapping, dp: int, q: Mapping, dq: int, n: int) -> dict:
     """Product of symmetric polynomials in n variables, homogeneous of degrees
     dp and dq, by m-basis dicts partition -> coefficient: (pq)[mu] = sum
     p[sort alpha] q[sort(mu - alpha)] over the compositions alpha <= mu with
-    |alpha| = dp; splits is _splits, memoised for one caller."""
+    |alpha| = dp, grouped by _splits."""
     return {
-        mu: sum(c * p.get(a, 0) * q.get(b, 0) for (a, b), c in splits(mu, dp).items())
+        mu: sum(c * p.get(a, 0) * q.get(b, 0) for a, b, c in _splits(mu, dp))
         for mu in (partitions_up_to(dp + dq, n) if p and q else ())
     }
 
@@ -356,7 +395,6 @@ def _poly_det(es: list[dict], base: list[int], n: int) -> dict:
     dict es[p] (0 for p < 0 or past es), by Laplace expansion down the rows,
     memoized on the live column set.  The minor of the rows from i and the
     columns cols has degree sum(base[i:]) + sum(cols), 0 if that is < 0."""
-    splits = cache(_splits)
     minors: dict[tuple[int, ...], dict] = {(): {(): 1}}
 
     def minor(row: int, cols: tuple[int, ...]) -> dict:
@@ -367,12 +405,55 @@ def _poly_det(es: list[dict], base: list[int], n: int) -> dict:
                 p = base[row] + col
                 if degree >= 0 and 0 <= p < len(es):
                     rest = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-                    for mu, c in _m_product(es[p], p, rest, degree - p, n, splits).items():
+                    for mu, c in _m_product(es[p], p, rest, degree - p, n).items():
                         acc[mu] = acc.get(mu, 0) + (-c if pos % 2 else c)
             minors[cols] = {mu: c for mu, c in acc.items() if c}
         return minors[cols]
 
     return minor(0, tuple(range(len(base))))
+
+
+# Ceilings on schur_at_alphabet, from counts known before any e_p is built:
+# the forms times the largest e_p it folds, dense, which is e_h for h the
+# hook of la's first cell (at most |A|), and the partitions of |la| in at most
+# n parts, over which its determinant's last products run.  Measured as CLI
+# runs of schur-at on a shared 2-core host: --lambda 16 --n 7 --k 3 (35 forms
+# times C(22,6), 2,611,455) takes 4.9-6.4 s at 86 MB; --lambda 13,12 --n 5
+# --k 2 (377 partitions) 5.4-6.8 s at 71 MB and --lambda 10,10 --n 7 --k 3
+# (364) 3.9-4.2 s at 52 MB.
+SCHUR_AT_MAX_WORK = 3_000_000
+SCHUR_AT_MAX_PARTITIONS = 400
+
+
+def check_schur_at_capacity(la: Partition, var_count: int, form_count: int) -> None:
+    """Raise CapacityError if s_la of form_count forms in var_count variables
+    passes either ceiling; an empty la, or one with more parts than there are
+    forms, needs no work and passes."""
+    if not la or len(la) > form_count:
+        return
+    top = min(len(la) + la[0] - 1, form_count)
+    work = form_count * comb(top + var_count - 1, var_count - 1)
+    if work > SCHUR_AT_MAX_WORK:
+        raise CapacityError(
+            f"s[{format_partition(la)}] of {form_count:,} forms in {var_count} variables "
+            f"folds e_p up to p = {top}: {form_count:,} forms times "
+            f"C({top + var_count - 1},{var_count - 1}) monomials = {work:,}, "
+            f"above the ceiling of {SCHUR_AT_MAX_WORK:,}"
+        )
+    # counts[i]: partitions of i in parts of size at most k, as many as in at
+    # most k parts.  They do not decrease with i, and past twice the ceiling
+    # those in two parts alone pass it, so a larger |la| is not counted.
+    size = min(sum(la), 2 * SCHUR_AT_MAX_PARTITIONS)
+    counts = [1] + [0] * size
+    for k in range(1, min(var_count, size) + 1):
+        for i in range(k, size + 1):
+            counts[i] += counts[i - k]
+    if counts[size] > SCHUR_AT_MAX_PARTITIONS:
+        raise CapacityError(
+            f"s[{format_partition(la)}] in {var_count} variables spans more than "
+            f"{SCHUR_AT_MAX_PARTITIONS:,} partitions of {sum(la)} in at most {var_count} "
+            f"parts, the ceiling"
+        )
 
 
 def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
@@ -384,8 +465,10 @@ def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
     AsymmetryError); returns the zero vector when la has more parts than the
     alphabet has forms.  The result must specialise at x_i = 2^i like that
     determinant of the integers f(2, 4, ..., 2^n), or ConsistencyError.
+    Past check_schur_at_capacity, CapacityError is raised before any work.
     """
     n = a.var_count
+    check_schur_at_capacity(la, n, len(a.forms))
     if not la:
         return SchurVector(n, {(): 1})
     if len(la) > len(a.forms):

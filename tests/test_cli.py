@@ -232,6 +232,31 @@ def test_bialphabet_box_cap_refuses_before_expanding(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: need 0 <= j <= n, got j=1, n=0\n")
 
 
+def test_schur_at_past_its_ceilings_exits_3_before_the_forms_are_built(capsys, monkeypatch):
+    def unreachable(n, k):
+        raise AssertionError("the forms were built past a refusal")
+
+    monkeypatch.setattr("boolprod.cli.subset_alphabet", unreachable)
+    code, out, err = run_cli(capsys, "schur-at", "--lambda", "17", "--n", "7", "--k", "3")
+    assert (code, out) == (3, "")
+    assert err == (
+        "capacity: s[17] of 35 forms in 7 variables folds e_p up to p = 17: 35 forms "
+        "times C(23,6) monomials = 3,533,145, above the ceiling of 3,000,000\n"
+    )
+    code, out, err = run_cli(capsys, "schur-at", "--lambda", "11,10", "--n", "7", "--k", "3")
+    assert (code, out) == (3, "")
+    assert err == (
+        "capacity: s[11,10] in 7 variables spans more than 400 partitions of 21 in at "
+        "most 7 parts, the ceiling\n"
+    )
+    # C(20,10) = 184,756 forms, never built
+    code, out, err = run_cli(capsys, "schur-at", "--lambda", "2,1", "--n", "20", "--k", "10")
+    assert (code, out) == (3, "") and "184,756 forms times C(22,19)" in err
+    # an invalid k is still a usage error, and no work is bounded
+    code, out, err = run_cli(capsys, "schur-at", "--lambda", "2,1", "--n", "3", "--k", "4")
+    assert (code, out, err) == (2, "", "error: need 1 <= k <= n, got k=4, n=3\n")
+
+
 def test_consistency_errors_exit_4(capsys, monkeypatch):
     def broken(n, allow_long=False):
         raise ConsistencyError("forced for the test")

@@ -103,7 +103,7 @@ def test_bnm1_q_out_of_range():
     with pytest.raises(ValueError):
         alternating_expansion(0)
     with pytest.raises(CapacityError):
-        alternating_expansion(19)
+        alternating_expansion(22)
 
 
 def test_bnm1_q_rejects_a_negative_layer(monkeypatch):

@@ -1,19 +1,23 @@
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boolprod.errors import CapacityError, ConsistencyError
 from boolprod.polyring import (
     Alphabet,
     MonomialPoly,
     QPoly,
+    _dominant_keys,
     alphabet_product,
+    block_cuts,
     dominant_coefficients,
     graded_elementary,
     poly_product,
 )
 from boolprod.resonance import CharPoly
+from boolprod.tableaux import partitions_up_to
 from oracles import elementary_of_forms, expand_forms, total_degree
 
 
@@ -112,28 +116,65 @@ def test_total_chern_identity():
     assert total == poly_product(shifted, 3)
 
 
+def dominant_terms(terms, blocks):
+    """The terms of a full expansion whose exponent vector is weakly
+    decreasing in every block, keyed by one partition per block."""
+    want = {}
+    for exp, c in terms.items():
+        key, lo = (), 0
+        for size, _ in blocks:
+            part = exp[lo : lo + size]
+            if list(part) != sorted(part, reverse=True):
+                break
+            key += (tuple(x for x in part if x),)
+            lo += size
+        else:
+            want[key] = c
+    return want
+
+
 def test_dominant_coefficients_read_the_full_product():
     # signed forms: the fold of the first third and the rest must cancel alike
     forms = ((1, 1, 0), (1, -1, 0), (0, 2, 1), (1, 1, 1), (3, 0, 0), (0, 0, 1), (2, 1, 1))
     terms = expand_forms(forms, 3)
     # one block, and a one-variable block x1 before a block x2, x3
     for blocks in ([(3, None)], [(1, "t"), (2, None)], [(0, "x"), (3, "y")]):
-        want = {}
-        for exp, c in terms.items():
-            key, lo = (), 0
-            for size, _ in blocks:
-                part = exp[lo : lo + size]
-                if list(part) != sorted(part, reverse=True):
-                    break
-                key += (tuple(x for x in part if x),)
-                lo += size
-            else:
-                want[key] = c
+        want = dominant_terms(terms, blocks)
         assert dominant_coefficients(Alphabet(3, forms), blocks) == want, blocks
     assert dominant_coefficients(Alphabet(3, ()), [(3, None)]) == {((),): 1}
     assert dominant_coefficients(Alphabet(2, ((1, 1), (0, 0))), [(2, None)]) == {}
     with pytest.raises(ValueError, match="blocks cover"):
         dominant_coefficients(Alphabet(3, forms), [(2, None)])
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_dominant_coefficients_of_drawn_forms_read_the_full_product(data):
+    # forms drawn from a small pool repeat; zero, negative and sparse forms
+    # leave the caps of the first variables of a block below the degree
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    coeff = st.integers(min_value=-2, max_value=2)
+    pool = data.draw(st.lists(st.tuples(*[coeff] * n), min_size=1, max_size=4))
+    forms = tuple(data.draw(st.lists(st.sampled_from(pool), max_size=6)))
+    first = data.draw(st.integers(min_value=0, max_value=n))
+    blocks = data.draw(st.sampled_from([[(n, None)], [(first, "x"), (n - first, "y")]]))
+    want = dominant_terms(expand_forms(forms, n), blocks)
+    assert dominant_coefficients(Alphabet(n, forms), blocks) == want
+
+
+def test_dominant_keys_meet_the_caps():
+    # (7,2): x1 lies in 6 of the 21 pair forms, x1 or x2 in 11, and so on, so
+    # 59 of the 436 partitions of 21 in at most 7 parts can occur
+    a = Alphabet.from_subsets(7, combinations(range(7), 2))
+    width = len(a).bit_length() + 1
+    keys = _dominant_keys(a, block_cuts([(7, None)], 7), width)
+    assert len(partitions_up_to(21, 7)) == 436 and len(keys) == 59
+    assert all(key[0][0] <= 6 and sum(key[0][:2]) <= 11 for key, _, _ in keys)
+    # a zero form touches no variable: the one-variable block x1 and the
+    # block x2, x3 each meet two of the four forms, so each holds degree 2
+    a = Alphabet(3, ((1, 0, 0), (0, 0, 0), (1, 1, 0), (0, 1, 1)))
+    keys = _dominant_keys(a, block_cuts([(1, "t"), (2, None)], 3), 4)
+    assert [key for key, _, _ in keys] == [((2,), (2,)), ((2,), (1, 1))]
 
 
 def test_packed_fields_hold_a_degree_past_seven_bits():

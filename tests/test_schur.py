@@ -1,4 +1,6 @@
+from collections import Counter
 from itertools import permutations, product
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from boolprod.bialphabet import pjk_expand
 from boolprod.boolean import boolean_product, ep_subset, subset_alphabet
 from boolprod.derangements import alternating_expansion, bnm1_q
-from boolprod.errors import AsymmetryError, ConsistencyError
+from boolprod.errors import AsymmetryError, CapacityError, ConsistencyError
 from boolprod.lascoux import lascoux_check
 from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product, graded_elementary
 from boolprod.polyring import poly_product
@@ -19,6 +21,7 @@ from boolprod.schur import (
     _splits,
     block_schur,
     check_principal,
+    check_schur_at_capacity,
     m_to_schur,
     mvector_expand,
     schur_at_alphabet,
@@ -255,11 +258,16 @@ def test_the_shared_tables_do_not_change_results_in_either_order():
         lambda: pjk_expand(2, 3, 1, 2),
         lambda: pjk_expand(3, 2, 2, 1),
         lambda: m_to_schur(MVector(4, {(3, 1): 2, (2, 2): -1, (2, 1, 1): 5})),
+        lambda: schur_at_alphabet((2, 2, 1), subset_alphabet(4, 2)),
+        lambda: alternating_expansion(6),
     ]
 
     def clear():
         schur._MOVES.clear()
+        schur._splits.cache_clear()
+        schur._SPLIT_PARTS.clear()
         polyring._packed_partitions.cache_clear()
+        polyring._capped_partitions.cache_clear()
 
     clear()
     forward = [product() for product in products]
@@ -325,7 +333,48 @@ def test_the_m_basis_product_matches_the_full_product(data):
     p = {mu: data.draw(coeff) for mu in partitions_up_to(dp, n)}
     q = {mu: data.draw(coeff) for mu in partitions_up_to(dq, n)}
     full = poly_product([mvector_expand(MVector(n, p)), mvector_expand(MVector(n, q))], n)
-    assert MVector(n, _m_product(p, dp, q, dq, n, _splits)).terms == to_mvector(full).terms
+    assert MVector(n, _m_product(p, dp, q, dq, n)).terms == to_mvector(full).terms
+
+
+def composition_splits(mu, e):
+    """_splits by its definition: every composition alpha <= mu, part by part."""
+    return Counter(
+        (tuple(sorted(filter(None, alpha), reverse=True)),
+         tuple(sorted(filter(None, map(sub, mu, alpha)), reverse=True)))
+        for alpha in product(*(range(m + 1) for m in mu))
+        if sum(alpha) == e
+    )
+
+
+def test_splits_by_part_multiplicity_match_the_composition_walk():
+    checked = 0
+    for d in range(11):
+        for mu in partitions_up_to(d, 7):
+            for e in range(-1, d + 2):
+                assert {(a, b): c for a, b, c in _splits(mu, e)} == composition_splits(mu, e), (mu, e)
+                checked += 1
+    assert checked == 1436
+
+
+def test_schur_at_ceilings_sit_at_the_measured_limits():
+    # the largest fold allowed at (7,3), 35 forms times C(22,6), and one past it
+    check_schur_at_capacity((16,), 7, 35)
+    with pytest.raises(CapacityError, match="= 3,533,145, above"):
+        check_schur_at_capacity((17,), 7, 35)
+    # 364 partitions of 20 in at most 7 parts, 436 of 21; 377 of 25 in at
+    # most 5, 427 of 26
+    for la, n, forms in (((10, 10), 7, 35), ((13, 12), 5, 10)):
+        check_schur_at_capacity(la, n, forms)
+        with pytest.raises(CapacityError, match="more than 400 partitions"):
+            check_schur_at_capacity((la[0] + 1,) + la[1:], n, forms)
+    # one variable holds one partition of any size; in two, a size this large
+    # is refused without counting its partitions
+    check_schur_at_capacity((10**9,), 1, 1)
+    with pytest.raises(CapacityError, match="of 2000000000 in at most 2"):
+        check_schur_at_capacity((10**9, 10**9), 2, 2)
+    # an empty shape, or one longer than the alphabet, is read off with no work
+    check_schur_at_capacity((), 50, 10**9)
+    check_schur_at_capacity((1,) * 5, 50, 4)
 
 
 def dense_schur_at(la, a):
