@@ -10,11 +10,10 @@ any polynomial arithmetic.
 """
 
 from itertools import combinations
-from math import comb
 
 from .errors import CapacityError, ConsistencyError
-from .polyring import Alphabet
-from .record import Record
+from .polyring import Alphabet, capped_comb, figure
+from .record import Terms
 from .schur import schur_of_product
 from .tableaux import Partition, conjugate, subpartitions
 
@@ -26,23 +25,16 @@ PJK_FORM_CAP = 30
 PartitionPair = tuple[Partition, Partition]
 
 
-class BiSchurVector(Record):
+class BiSchurVector(Terms):
     """Combination of products s_lambda(X) s_mu(Y) over split variable blocks."""
 
     FIELDS = ("n", "m", "terms")
 
     def __init__(self, n: int, m: int, terms: dict[PartitionPair, int] | None = None):
-        terms = {pair: c for pair, c in (terms or {}).items() if c}
-        for la, mu in terms:
+        super().__init__(n, m, terms)
+        for la, mu in self.terms:
             if len(la) > n or len(mu) > m:
                 raise ValueError(f"({la}, {mu}) does not fit in {n}+{m} variables")
-        super().__init__(n, m, terms)
-
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.terms.values())
 
 
 def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
@@ -59,10 +51,10 @@ def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
     if n == 0 and m == 0:
         raise ValueError("need at least one variable")
-    form_count = comb(n, j) * comb(m, k)
+    form_count = capped_comb(n, j) * capped_comb(m, k)
     if form_count > PJK_FORM_CAP:
         raise CapacityError(
-            f"product of {form_count} forms exceeds the cap of {PJK_FORM_CAP}"
+            f"product of {figure(form_count, '')} forms exceeds the cap of {PJK_FORM_CAP}"
         )
     y_subsets = [tuple(n + i for i in t) for t in combinations(range(m), k)]
     alphabet = Alphabet.from_subsets(

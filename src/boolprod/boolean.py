@@ -10,18 +10,18 @@ Schur-basis multiplication rule is used anywhere.
 
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb
 
-from .polyring import Alphabet, check_fold_capacity
+from .polyring import Alphabet, capped_comb, check_fold_capacity, figure
 from .schur import SchurVector, _one_block, schur_of_graded_product, schur_of_product
 from .tableaux import Partition
 
 
 def _subset_count(n: int, k: int) -> int:
-    """C(n,k), the number of forms of the (n,k) alphabet, once (n, k) is valid."""
+    """C(n,k), the number of forms of the (n,k) alphabet, once (n, k) is
+    valid; past COUNT_MAX, some number above it (see capped_comb)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return comb(n, k)
+    return capped_comb(n, k)
 
 
 def subset_alphabet(n: int, k: int) -> Alphabet:
@@ -38,7 +38,7 @@ def _graded_subset_terms(n: int, k: int) -> tuple[tuple[Partition, int], ...]:
     check_fold_capacity(
         n + 1,
         count,
-        f"the product of the {count} forms t + X_S in {n + 1} variables behind "
+        f"the product of the {figure(count, '')} forms t + X_S in {n + 1} variables behind "
         f"every e_p of the ({n},{k}) alphabet",
     )
     return tuple(schur_of_graded_product(subset_alphabet(n, k)).terms.items())

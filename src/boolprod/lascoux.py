@@ -15,7 +15,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import CapacityError, ConsistencyError
-from .polyring import Alphabet, _int_det, check_fold_capacity
+from .polyring import Alphabet, _int_det, check_fold_capacity, figure
 from .record import Record
 from .schur import SchurVector, schur_of_graded_product
 from .tableaux import Partition, contains, staircase, subpartitions
@@ -117,7 +117,9 @@ def lascoux_check(n: int, kind: str) -> LascouxReport:
     if n < 2 or kind not in _PAIRS:
         raise ValueError(f"need n >= 2 and kind 'exterior' or 'symmetric', got {n}, {kind!r}")
     count = comb(n + (kind == "symmetric"), 2)  # C(n,2) strict, C(n+1,2) weak pairs
-    check_fold_capacity(n + 1, count, f"the product of {count} {kind} pair forms t + x_i + x_j")
+    check_fold_capacity(
+        n + 1, count, f"the product of {figure(count, '')} {kind} pair forms t + x_i + x_j"
+    )
     lhs = schur_of_graded_product(_pair_alphabet(n, kind))
 
     delta = staircase(n - 1 if kind == "exterior" else n)

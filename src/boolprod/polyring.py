@@ -24,11 +24,10 @@ callers that need every monomial and for tests.
 from collections.abc import Iterable
 from functools import cache
 from itertools import accumulate
-from math import comb
 from operator import le
 
 from .errors import CapacityError
-from .record import FrozenRecord
+from .record import FrozenRecord, Terms
 from .tableaux import Partition, partitions_up_to
 
 # A linear form is its coefficient vector over the ambient variables,
@@ -115,53 +114,37 @@ def _unpack(packed: dict[int, int], var_count: int, width: int) -> "MonomialPoly
     return MonomialPoly(var_count, terms)
 
 
-class MonomialPoly:
+class MonomialPoly(Terms):
     """Sparse polynomial: dict exponent-vector -> nonzero int coefficient."""
 
-    __slots__ = ("var_count", "terms")
+    FIELDS = ("var_count", "terms")
 
     def __init__(self, var_count: int, terms: dict | None = None):
         if var_count < 1:
             raise ValueError("var_count must be positive")
-        self.var_count = var_count
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+        super().__init__(var_count, terms)
+        for e in self.terms:
+            if len(e) != var_count:
+                raise ValueError(f"exponent vector {e} has {len(e)} entries, expected {var_count}")
 
     @classmethod
     def constant(cls, var_count: int, c: int) -> "MonomialPoly":
-        return cls(var_count, {(0,) * var_count: c} if c else {})
+        return cls(var_count, {(0,) * var_count: c})
 
     @classmethod
     def from_form(cls, var_count: int, form: LinearForm) -> "MonomialPoly":
         terms = {}
         for i, c in enumerate(form):
-            if c:
-                e = [0] * var_count
-                e[i] = 1
-                terms[tuple(e)] = c
+            e = [0] * var_count
+            e[i] = 1
+            terms[tuple(e)] = c
         return cls(var_count, terms)
-
-    def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
-        if self.var_count != other.var_count:
-            raise ValueError("mixed variable counts")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return MonomialPoly(self.var_count, terms)
 
     def __mul__(self, other: "MonomialPoly") -> "MonomialPoly":
         return poly_product([self, other], self.var_count)
 
     def scale(self, c: int) -> "MonomialPoly":
-        if not c:
-            return MonomialPoly(self.var_count)
         return MonomialPoly(self.var_count, {e: c * v for e, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialPoly)
-            and self.var_count == other.var_count
-            and self.terms == other.terms
-        )
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -170,7 +153,7 @@ class MonomialPoly:
         if not self.terms:
             return "MonomialPoly(0)"
         bits = []
-        for e, c in sorted(self.terms.items(), reverse=True):
+        for e, c in self.items_sorted():
             mono = "*".join(
                 f"x{i+1}" + (f"^{p}" if p > 1 else "")
                 for i, p in enumerate(e)
@@ -226,6 +209,30 @@ def graded_elementary(a: Alphabet, cap: int | None = None) -> list[MonomialPoly]
 FOLD_MAX_MONOMIALS = 1_000_000
 
 
+# Counts in capacity messages are exact up to COUNT_MAX.  Past it they are
+# cut short: Python refuses to print an int of more than 4,300 digits, and a
+# product of C(n,k) forms, n in the thousands, takes seconds to count.
+COUNT_MAX = 10**30
+
+
+def capped_comb(n: int, k: int) -> int:
+    """C(n,k) for 0 <= k <= n if it is at most COUNT_MAX, else some number
+    above COUNT_MAX: the running product C(n - k + i, i), with k <= n - k,
+    grows with i, so it stops once it passes COUNT_MAX."""
+    k = min(k, n - k)
+    value = 1
+    for i in range(1, k + 1):
+        if value > COUNT_MAX:
+            break
+        value = value * (n - k + i) // i
+    return value
+
+
+def figure(count: int, spec: str = ",") -> str:
+    """count in the format spec, or "more than 10^30" past COUNT_MAX."""
+    return format(count, spec) if count <= COUNT_MAX else "more than 10^30"
+
+
 def check_fold_capacity(var_count: int, degree: int, product: str | None = None) -> None:
     """Raise CapacityError if the larger fold of a product of `degree` linear
     forms in `var_count` variables may exceed FOLD_MAX_MONOMIALS; `product`
@@ -233,13 +240,16 @@ def check_fold_capacity(var_count: int, degree: int, product: str | None = None)
     bnm1_q and lascoux_check, whose forms fill their degree, run it before
     they build a form; pjk_expand's sparse forms meet it in _fold instead."""
     top = degree - degree // 3
-    size = comb(top + var_count - 1, var_count - 1)
+    size = capped_comb(top + var_count - 1, var_count - 1)
     if size > FOLD_MAX_MONOMIALS:
-        product = product or f"a product of {degree} forms in {var_count} variables"
+        product = product or f"a product of {figure(degree, '')} forms in {var_count} variables"
+        bound = (
+            f"folds into up to C({top + var_count - 1},{var_count - 1}) = {size:,}"
+            if size <= COUNT_MAX
+            else f"may fold into {figure(size)}"
+        )
         raise CapacityError(
-            f"{product} folds into up to "
-            f"C({top + var_count - 1},{var_count - 1}) = {size:,} monomials, "
-            f"above the ceiling of {FOLD_MAX_MONOMIALS:,}"
+            f"{product} {bound} monomials, above the ceiling of {FOLD_MAX_MONOMIALS:,}"
         )
 
 

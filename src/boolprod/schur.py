@@ -33,27 +33,26 @@ from collections import Counter
 from collections.abc import Mapping
 from functools import cache
 from itertools import accumulate, combinations_with_replacement, groupby, permutations
-from math import comb, factorial
+from math import factorial
 from operator import ge, itemgetter
 
 from .errors import AsymmetryError, CapacityError, ConsistencyError
 from .polyring import Alphabet, Blocks, MonomialPoly, block_cuts, dominant_coefficients
-from .polyring import _int_det, graded_elementary
-from .record import Record
+from .polyring import _int_det, capped_comb, figure, graded_elementary
+from .record import Terms
 from .tableaux import Partition, conjugate, format_partition, kostka, partitions_up_to
 
 
-class _TermVector(Record):
+class _TermVector(Terms):
     """Partition -> nonzero coefficient, in var_count variables."""
 
     FIELDS = ("var_count", "terms")
 
     def __init__(self, var_count: int, terms: Mapping | None = None):
-        terms = {la: c for la, c in (terms or {}).items() if c}
-        for la in terms:
+        super().__init__(var_count, terms)
+        for la in self.terms:
             if len(la) > var_count:
                 raise ValueError(f"{la} has more parts than variables")
-        super().__init__(var_count, terms)
 
 
 class MVector(_TermVector):
@@ -66,21 +65,6 @@ class SchurVector(_TermVector):
     Coefficients are usually ints; the derangement module stores q-polynomials
     here instead, so only +, ==, and truthiness are assumed of them.
     """
-
-    def items_sorted(self):
-        """Terms in the canonical descending partition order."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.terms.values())
-
-    def __add__(self, other: "SchurVector") -> "SchurVector":
-        if self.var_count != other.var_count:
-            raise ValueError("mixed variable counts")
-        terms = dict(self.terms)
-        for la, c in other.terms.items():
-            terms[la] = terms.get(la, 0) + c
-        return SchurVector(self.var_count, terms)
 
 
 def _moves(cuts: list) -> list:
@@ -413,31 +397,46 @@ def _poly_det(es: list[dict], base: list[int], n: int) -> dict:
     return minor(0, tuple(range(len(base))))
 
 
-# Ceilings on schur_at_alphabet, from counts known before any e_p is built:
-# the forms times the largest e_p it folds, dense, which is e_h for h the
-# hook of la's first cell (at most |A|), and the partitions of |la| in at most
-# n parts, over which its determinant's last products run.  Measured as CLI
-# runs of schur-at on a shared 2-core host: --lambda 16 --n 7 --k 3 (35 forms
-# times C(22,6), 2,611,455) takes 4.9-6.4 s at 86 MB; --lambda 13,12 --n 5
-# --k 2 (377 partitions) 5.4-6.8 s at 71 MB and --lambda 10,10 --n 7 --k 3
-# (364) 3.9-4.2 s at 52 MB.
+# Ceilings on schur_at_alphabet, from counts known before any e_p is built.
+# Its determinant has la_1 rows: the self-check's Bareiss elimination takes
+# O(la_1^3) steps and _poly_det recurses once per row, so la_1 is bounded
+# alone.  The forms times the largest e_p it folds, dense, which is e_h for h
+# the hook of la's first cell (at most |A|).  The partitions of |la| in at
+# most n parts, over which its determinant's last products run.  And the
+# determinant's size: la_1 rows, each reading e_p up to p = h, times those
+# partitions.  Measured as CLI runs of schur-at on a shared 2-core host whose
+# speed moved by up to 1.6x: --lambda 400 --n 1 --k 1 takes 4.0 s, and 500
+# 5.9-7.3 s; --lambda 16 --n 7 --k 3 (35 forms times C(22,6), 2,611,455;
+# size 41,984) 4.9-7.3 s at 86 MB; --lambda 13,12 --n 5 --k 2 (377
+# partitions; size 49,010) 5.4-9.7 s at 71 MB and --lambda 10,10 --n 7 --k 3
+# (364; 40,040) 3.9-8.6 s at 52 MB.  Past the size ceiling, --lambda 300 --n
+# 2 --k 1 (90,600) took 8.7 s and --lambda 22 --n 6 --k 3 (172,040) 20.5 s;
+# at or just under it, no case tried took more than 6.5 s.
+SCHUR_AT_MAX_ROWS = 400
 SCHUR_AT_MAX_WORK = 3_000_000
 SCHUR_AT_MAX_PARTITIONS = 400
+SCHUR_AT_MAX_DET = 50_000
 
 
 def check_schur_at_capacity(la: Partition, var_count: int, form_count: int) -> None:
     """Raise CapacityError if s_la of form_count forms in var_count variables
-    passes either ceiling; an empty la, or one with more parts than there are
+    passes any ceiling; an empty la, or one with more parts than there are
     forms, needs no work and passes."""
     if not la or len(la) > form_count:
         return
+    name = f"s[{format_partition(la)}]"
+    if la[0] > SCHUR_AT_MAX_ROWS:
+        raise CapacityError(
+            f"{name} has a determinant of {la[0]:,} rows, above the ceiling of "
+            f"{SCHUR_AT_MAX_ROWS:,}"
+        )
     top = min(len(la) + la[0] - 1, form_count)
-    work = form_count * comb(top + var_count - 1, var_count - 1)
+    work = form_count * capped_comb(top + var_count - 1, var_count - 1)
     if work > SCHUR_AT_MAX_WORK:
         raise CapacityError(
-            f"s[{format_partition(la)}] of {form_count:,} forms in {var_count} variables "
-            f"folds e_p up to p = {top}: {form_count:,} forms times "
-            f"C({top + var_count - 1},{var_count - 1}) monomials = {work:,}, "
+            f"{name} of {figure(form_count)} forms in {var_count} variables "
+            f"folds e_p up to p = {top}: {figure(form_count)} forms times "
+            f"C({top + var_count - 1},{var_count - 1}) monomials = {figure(work)}, "
             f"above the ceiling of {SCHUR_AT_MAX_WORK:,}"
         )
     # counts[i]: partitions of i in parts of size at most k, as many as in at
@@ -450,9 +449,17 @@ def check_schur_at_capacity(la: Partition, var_count: int, form_count: int) -> N
             counts[i] += counts[i - k]
     if counts[size] > SCHUR_AT_MAX_PARTITIONS:
         raise CapacityError(
-            f"s[{format_partition(la)}] in {var_count} variables spans more than "
+            f"{name} in {var_count} variables spans more than "
             f"{SCHUR_AT_MAX_PARTITIONS:,} partitions of {sum(la)} in at most {var_count} "
             f"parts, the ceiling"
+        )
+    det = la[0] * top * counts[size]
+    if det > SCHUR_AT_MAX_DET:
+        raise CapacityError(
+            f"{name} of {form_count:,} forms in {var_count} variables has a determinant "
+            f"of {la[0]} rows reading e_p up to p = {top}, over {counts[size]} partitions "
+            f"of {sum(la)}: {la[0]} times {top} times {counts[size]} = {det:,}, above "
+            f"the ceiling of {SCHUR_AT_MAX_DET:,}"
         )
 
 

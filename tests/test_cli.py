@@ -257,6 +257,60 @@ def test_schur_at_past_its_ceilings_exits_3_before_the_forms_are_built(capsys, m
     assert (code, out, err) == (2, "", "error: need 1 <= k <= n, got k=4, n=3\n")
 
 
+def test_schur_at_past_its_row_ceiling_exits_3_in_a_fresh_process():
+    # a row this long once ran out of stack in the determinant; a fresh
+    # process has the default recursion limit the command line meets
+    done = subprocess.run(
+        [sys.executable, "-m", "boolprod", "schur-at", "--lambda", "1200", "--n", "1", "--k", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "capacity: s[1200] has a determinant of 1,200 rows, above the ceiling of 400\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["total", "--n", "124"],
+            "a product of more than 10^30 forms in 124 variables may fold into more "
+            "than 10^30 monomials",
+        ),
+        (["boolean-expand", "--n", "4000", "--k", "2000"], "may fold into more than 10^30"),
+        (
+            ["lascoux", "--n", "1400", "--kind", "exterior"],
+            "the product of 979300 exterior pair forms t + x_i + x_j may fold",
+        ),
+        (
+            ["schur-at", "--lambda", "1", "--n", "20000", "--k", "10000"],
+            "s[1] of more than 10^30 forms in 20000 variables folds e_p up to p = 1",
+        ),
+        (
+            ["bialphabet", "--n", "20000", "--m", "1", "--j", "10000", "--k", "1"],
+            "product of more than 10^30 forms exceeds the cap of 30",
+        ),
+        # a count cut short is not printed as if it were exact
+        (
+            ["boolean-expand", "--n", "130", "--k", "65", "--p", "1"],
+            "the product of the more than 10^30 forms t + X_S in 131 variables",
+        ),
+        (
+            ["lascoux", "--n", "1" + "0" * 3000, "--kind", "exterior"],
+            "the product of more than 10^30 exterior pair forms",
+        ),
+    ],
+    ids=["total", "boolean-expand", "lascoux", "schur-at", "bialphabet", "slice", "lascoux-n"],
+)
+def test_refusals_of_huge_inputs_exit_3(capsys, argv, err):
+    # these counts pass Python's 4,300-digit limit for printing an int
+    code, out, got = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert got.startswith("capacity: ") and err in got
+
+
 def test_consistency_errors_exit_4(capsys, monkeypatch):
     def broken(n, allow_long=False):
         raise ConsistencyError("forced for the test")

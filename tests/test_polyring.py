@@ -6,13 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from boolprod.errors import CapacityError, ConsistencyError
 from boolprod.polyring import (
+    COUNT_MAX,
     Alphabet,
     MonomialPoly,
     QPoly,
     _dominant_keys,
     alphabet_product,
     block_cuts,
+    capped_comb,
+    check_fold_capacity,
     dominant_coefficients,
+    figure,
     graded_elementary,
     poly_product,
 )
@@ -247,3 +251,24 @@ def test_degree_additive_for_nonzero_forms(forms):
         assert total_degree(product.terms) == len(polys)
     else:
         assert product.terms == {}
+
+
+def test_counts_are_exact_up_to_count_max_and_cut_short_past_it():
+    for n in range(130):
+        for k in range(n + 1):
+            got = capped_comb(n, k)
+            assert got == comb(n, k) if comb(n, k) <= COUNT_MAX else got > COUNT_MAX
+    # C(120,60), about 9.7 * 10^34, stops short of itself; a count this
+    # large stops at once
+    assert COUNT_MAX < capped_comb(120, 60) < comb(120, 60)
+    assert COUNT_MAX < capped_comb(10**1000, 10**999) < 10**2000
+    assert figure(COUNT_MAX) == "1,000,000,000,000,000,000,000,000,000,000"
+    assert figure(COUNT_MAX + 1) == figure(10**5000) == "more than 10^30"
+    assert figure(123_456, "") == "123456"
+    # the fold message prints the exact count up to 10^30: 268 forms in 4
+    # variables pass at C(182,3) = 988,260 monomials, 269 do not
+    check_fold_capacity(4, 268)
+    with pytest.raises(CapacityError, match=r"up to C\(183,3\) = 1,004,731 monomials"):
+        check_fold_capacity(4, 269)
+    with pytest.raises(CapacityError, match="forms in 4 variables may fold into more than 10"):
+        check_fold_capacity(4, 10**11)

@@ -5,7 +5,7 @@ from operator import sub
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from boolprod.bialphabet import pjk_expand
+from boolprod.bialphabet import BiSchurVector, pjk_expand
 from boolprod.boolean import boolean_product, ep_subset, subset_alphabet
 from boolprod.derangements import alternating_expansion, bnm1_q
 from boolprod.errors import AsymmetryError, CapacityError, ConsistencyError
@@ -115,10 +115,43 @@ def test_term_vectors_compare_by_value_and_are_unhashable():
     assert repr(v) == "SchurVector(var_count=2, terms={(2,): 1})"
     empty = SchurVector(2)
     assert empty.terms == {} and empty.terms is not SchurVector(2).terms
+    assert empty and not MonomialPoly(2)
     with pytest.raises(TypeError):
         hash(v)
     with pytest.raises(TypeError):
         hash(MVector(1))
+    # each class with its other fields, a smaller and a larger key, and a
+    # key that fits every class's key check
+    cases = [
+        (MonomialPoly, (2,), (0, 1), (1, 0)),
+        (MVector, (2,), (1,), (2,)),
+        (SchurVector, (2,), (1,), (2,)),
+        (BiSchurVector, (1, 1), ((), (1,)), ((1,), ())),
+    ]
+    for cls, fields, low, high in cases:
+        v = cls(*fields, {low: 2, high: 0})
+        assert v.terms == {low: 2} and cls(*fields).terms == {}
+        assert v == cls(*fields, {low: 2}) and v != cls(*fields, {low: 1})
+        with pytest.raises(TypeError):
+            hash(v)
+        w = cls(*fields, {low: -2, high: 5})
+        total = v + w
+        assert type(total) is cls and total == cls(*fields, {high: 5})
+        assert (v + cls(*fields, {low: -2})).terms == {}
+        assert w.items_sorted() == [(high, 5), (low, -2)]
+        assert v.is_nonnegative() and total.is_nonnegative() and not w.is_nonnegative()
+        with pytest.raises(ValueError, match="mixed variable counts"):
+            v + cls(*(x + 1 for x in fields))
+        for other_cls, other_fields, other_low, _ in cases:
+            if other_cls is not cls:
+                u = other_cls(*other_fields, {other_low: 1})
+                assert v != u
+                with pytest.raises(TypeError):
+                    v + u
+    with pytest.raises(ValueError, match="mixed variable counts"):
+        BiSchurVector(1, 1) + BiSchurVector(1, 2)
+    with pytest.raises(ValueError, match="2 entries, expected 3"):
+        MonomialPoly(3, {(1, 0): 1})
 
 
 def test_length_cap_rejected():
@@ -367,14 +400,44 @@ def test_schur_at_ceilings_sit_at_the_measured_limits():
         check_schur_at_capacity(la, n, forms)
         with pytest.raises(CapacityError, match="more than 400 partitions"):
             check_schur_at_capacity((la[0] + 1,) + la[1:], n, forms)
-    # one variable holds one partition of any size; in two, a size this large
-    # is refused without counting its partitions
-    check_schur_at_capacity((10**9,), 1, 1)
-    with pytest.raises(CapacityError, match="of 2000000000 in at most 2"):
-        check_schur_at_capacity((10**9, 10**9), 2, 2)
+    # in two variables, a size this large is refused without counting its
+    # partitions
+    with pytest.raises(CapacityError, match="of 1200 in at most 2"):
+        check_schur_at_capacity((400, 400, 400), 2, 3)
     # an empty shape, or one longer than the alphabet, is read off with no work
     check_schur_at_capacity((), 50, 10**9)
     check_schur_at_capacity((1,) * 5, 50, 4)
+
+
+def test_schur_at_refuses_long_first_rows_and_large_determinants():
+    # one variable holds one partition of any size, so only la_1, the
+    # determinant's order, bounds it
+    check_schur_at_capacity((400,), 1, 1)
+    with pytest.raises(CapacityError, match=r"^s\[401\] has a determinant of 401 rows, above"):
+        check_schur_at_capacity((401,), 1, 1)
+    with pytest.raises(CapacityError, match="of 1,000,000,000 rows"):
+        check_schur_at_capacity((10**9, 10**9), 2, 2)
+    # la_1 rows times the e_p read, up to p = h, times the partitions of |la|:
+    # 223 * 2 * 112 = 49,952 and 224 * 2 * 113 = 50,624
+    check_schur_at_capacity((223,), 2, 2)
+    with pytest.raises(CapacityError) as refused:
+        check_schur_at_capacity((224,), 2, 2)
+    assert str(refused.value) == (
+        "s[224] of 2 forms in 2 variables has a determinant of 224 rows reading e_p up "
+        "to p = 2, over 113 partitions of 224: 224 times 2 times 113 = 50,624, above "
+        "the ceiling of 50,000"
+    )
+    # the largest allowed cases above sit below it: 13 * 10 * 377 = 49,010,
+    # 10 * 11 * 364 = 40,040 and 16 * 16 * 164 = 41,984
+    check_schur_at_capacity((13, 12), 5, 10)
+    check_schur_at_capacity((10, 10), 7, 35)
+    check_schur_at_capacity((16,), 7, 35)
+    with pytest.raises(CapacityError, match="= 94,250, above the ceiling of 50,000"):
+        check_schur_at_capacity((25,), 5, 10)
+    # the determinant of the longest row allowed recurses once per row, well
+    # inside the recursion limit: s_(400) of the one form x_1 is x_1^400
+    base = [1 - i for i in range(400)]
+    assert schur._poly_det([{(): 1}, {(1,): 1}], base, 1) == {(400,): 1}
 
 
 def dense_schur_at(la, a):
