@@ -2,30 +2,35 @@
 
 ``binomial_det`` evaluates det C(lambda_i + n - i, mu_j + n - j) exactly;
 ``gv_count`` recounts the same quantity as families of vertex-disjoint lattice
-paths, in one recursive walk that keeps the points taken so far as the bits
-of an int, and never touches the determinant code, so the two are
-independent routes to one number.  ``lascoux_check`` assembles both sides of
-the classical identity expressing the product of (1 + x_i + x_j) over pairs
-in the Schur basis with binomial-determinant coefficients, dividing out the
-power-of-two prefactor exactly; the product side is read off its dominant
-coefficients without being built.
+paths, column by column without listing them, and never touches the
+determinant code, so the two are independent routes to one number.
+``lascoux_check`` assembles both sides of the classical identity expressing
+the product of (1 + x_i + x_j) over pairs in the Schur basis with
+binomial-determinant coefficients, dividing out the power-of-two prefactor
+exactly; the product side is read off its dominant coefficients without
+being built.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import comb
 
 from .errors import CapacityError, ConsistencyError
-from .polyring import Alphabet, _int_det, check_fold_capacity, figure
+from .polyring import Alphabet, _int_det, capped_comb, check_fold_capacity, figure
 from .record import Record
 from .schur import SchurVector, schur_of_graded_product
 from .tableaux import Partition, contains, staircase, subpartitions
 
-# Cap on the sum of start heights for the path enumeration.  At 30, of every
-# la with mu = () and n <= 8, n = 6 costs most: gv_count((9, 4, 2), (), 6)
-# walks 412,776 path families and (10, 4, 1) 392,392, each in 1.0-2.1 s at
-# 14 MB in one process on a shared 2-core host; a sweep of all 110 shapes at
-# n = 6 takes 42 s.
-GV_SUM_CAP = 30
+# Ceiling on gv_count's transfer, counted before it runs by _transfer_work:
+# its transitions, plus the cells of every height range it reads, plus
+# GV_RANGE_WORK per range.  Setting up a range costs about 5 us against
+# 0.15-0.6 us a transition, so the count also follows the time of paths
+# pinned to one transition a column.  As CLI runs on a shared 2-core host,
+# cases just under 2,000,000 took 0.5-0.75 s at 16 MB for n = 4..8, and the
+# one path from (0, 499987) to (1, 1) 1.3 s at 85 MB, its first column
+# leaving 499,987 states.  The old cap, 30 on the sum of the start heights,
+# let no case past 10,208.
+GV_MAX_WORK = 2_000_000
+GV_RANGE_WORK = 16
 
 
 def _endpoints(la: Partition, mu: Partition, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -47,41 +52,105 @@ def binomial_det(la: Partition, mu: Partition, n: int) -> int:
     return _int_det(matrix)
 
 
+def _chains(ranges: list) -> int:
+    """Number of sequences v_0 >= v_1 > v_2 >= v_3 > ... with v_j from
+    ranges[j][0] to ranges[j][1]."""
+    lo, hi = ranges[0]
+    ways = [1] * (hi - lo + 1)
+    for j, (lo2, hi2) in enumerate(ranges[1:], 1):
+        suffix = list(accumulate(reversed(ways)))[::-1] + [0]
+        last = len(ways)
+        step = lo - (j % 2 == 0)  # v_j <= v_(j-1) for odd j, v_j < v_(j-1) for even j
+        ways = [suffix[min(max(y - step, 0), last)] for y in range(lo2, hi2 + 1)]
+        lo = lo2
+    return sum(ways)
+
+
+def _transfer_work(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """The work of gv_count's transfer from heights a to b, exactly, or any
+    count past GV_MAX_WORK once it is sure to pass it.
+
+    In column x path i can enter at any height from low_i to a_i, where low
+    starts at a and moves to max(b_i, low_(i+1) + 1), or to b_i under the
+    last path that goes on: any strictly falling h in those ranges is
+    reached, through h_i = max(e_i, low_i) the column before.  So the
+    transitions are the chains h_0 >= e_0 > h_1 >= e_1 > ... with h_i from
+    low_i to a_i and e_i from the next low_i to a_i, the path that ends at x
+    having no e.  Each path i is active in b_i + 1 columns and reads at
+    least one range there, which bounds the work from below before counting.
+    """
+    if sum(bi + 1 for bi in b) * (1 + GV_RANGE_WORK) > GV_MAX_WORK:
+        return GV_MAX_WORK + 1
+    low, total = list(a), 0
+    for x in range(b[0] + 1):
+        k = len(low)
+        on = k - (b[k - 1] == x)  # the paths that go on past column x
+        nxt = [max(b[i], low[i + 1] + 1) if i + 1 < k else b[i] for i in range(on)]
+        ranges = []
+        for i in range(k):
+            ranges.append((low[i], a[i]))
+            if i < on:
+                ranges.append((nxt[i], a[i]))
+        # every value of a range is taken by some transition, so a range
+        # past the ceiling is refused before _chains builds it
+        total += sum(hi - lo + 1 + GV_RANGE_WORK for lo, hi in ranges)
+        if total <= GV_MAX_WORK:
+            total += _chains(ranges)
+        if total > GV_MAX_WORK:
+            break
+        low = nxt
+    return total
+
+
+def _work_bound(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """A bound, cheap to take, that _transfer_work never passes.
+
+    With j paths active, a column's chain has at most 2j values from 0 to
+    a_0, and it falls strictly once each of its j weak steps is shifted up:
+    at most C(a_0 + j + 1, 2j) chains, and 2j ranges of at most a_0 + 1
+    cells.
+    """
+    top, k = a[0], len(a)
+    chains = max(capped_comb(top + j + 1, 2 * j) for j in range(1, k + 1))
+    return (b[0] + 1) * (chains + 2 * k * (top + 1 + GV_RANGE_WORK))
+
+
 def gv_count(la: Partition, mu: Partition, n: int) -> int:
     """Number of vertex-disjoint path families realizing the determinant.
 
     Path i runs from (0, a_i) to (b_i, b_i) with East and South steps; a
     single unconstrained path admits C(a_i, b_j) routes, and only the identity
     endpoint matching can be disjoint, so this count matches binomial_det by
-    the reflection involution.  Pure enumeration, no determinant code.
+    the reflection involution.  No determinant code: a transfer, column by
+    column.  In column x path i enters at height h_i, runs South and leaves
+    East at a height e_i from max(b_i, h_(i+1) + 1) to h_i, or ends at b_i
+    when x = b_i; the family is disjoint exactly when every e_i > h_(i+1).
+    The active paths are the first few, since b falls, and the state is
+    their entry heights.  Past GV_MAX_WORK, counted first by _transfer_work
+    where _work_bound does not settle it, CapacityError is raised before the
+    transfer.
     """
     if not contains(la, mu):
         raise ValueError(f"need mu contained in la, got la={la}, mu={mu}")
     a, b = _endpoints(la, mu, n)
-    if sum(a) > GV_SUM_CAP:
-        raise CapacityError(
-            f"path enumeration capped at total height {GV_SUM_CAP}, got {sum(a)}"
-        )
     if n == 0:
         return 1  # the empty family
-    # a point (x, y) of path i has x <= b_i <= y <= a_0: column x holds only
-    # heights x..a_0, so bit x*a_0 + y of `used` is that point's alone
-    width = a[0]
-
-    def walk(i: int, x: int, y: int, used: int) -> int:
-        bit = 1 << (x * width + y)
-        if used & bit:
-            return 0
-        used |= bit
-        end = b[i]
-        if x == end == y:
-            return walk(i + 1, 0, a[i + 1], used) if i + 1 < n else 1
-        total = walk(i, x + 1, y, used) if x < end else 0
-        if y > end:
-            total += walk(i, x, y - 1, used)
-        return total
-
-    return walk(0, 0, width, 0)
+    if _work_bound(a, b) > GV_MAX_WORK and _transfer_work(a, b) > GV_MAX_WORK:
+        raise CapacityError(
+            f"path transfer with n={n:,} takes more than {GV_MAX_WORK:,} steps, "
+            f"the ceiling"
+        )
+    states = {a: 1}
+    for x in range(b[0] + 1):
+        nxt: dict[tuple[int, ...], int] = {}
+        for h, c in states.items():
+            on = len(h) - (b[len(h) - 1] == x)  # the paths that go on past column x
+            below = h[1:] + (-1,)
+            ranges = [range(max(b[i], below[i] + 1), h[i] + 1) for i in range(on)]
+            for e in product(*ranges):
+                nxt[e] = nxt.get(e, 0) + c
+        states = nxt
+    return states[()]
 
 
 _PAIRS = {"exterior": combinations, "symmetric": combinations_with_replacement}

@@ -99,18 +99,23 @@ def _check_symmetric(counts: Mapping, cuts: list, forms: bool = False) -> None:
                 raise AsymmetryError(key, image, block=name, forms=forms)
 
 
-def _dominant_terms(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
-    """Check that poly is symmetric in each block, then pick the terms that
-    fix it: those whose exponent vector is weakly decreasing in every block,
+def _pick_dominant(terms: Mapping, cuts: list) -> dict[tuple[Partition, ...], int]:
+    """The terms whose exponent vector is weakly decreasing in every block,
     keyed by one partition per block."""
-    cuts = block_cuts(blocks, poly.var_count)
-    _check_symmetric(poly.terms, cuts)
     out = {}
-    for exp, c in poly.terms.items():
+    for exp, c in terms.items():
         parts = [exp[lo:hi] for lo, hi, _ in cuts]
         if all(all(map(ge, part, part[1:])) for part in parts):
             out[tuple(tuple(x for x in part if x) for part in parts)] = c
     return out
+
+
+def _dominant_terms(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
+    """Check that poly is symmetric in each block, then pick the terms that
+    fix it, as _pick_dominant does."""
+    cuts = block_cuts(blocks, poly.var_count)
+    _check_symmetric(poly.terms, cuts)
+    return _pick_dominant(poly.terms, cuts)
 
 
 def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
@@ -468,10 +473,12 @@ def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
     Schur basis of the underlying variables.
 
     Uses det(e_{la'_i - i + j}(A)) over the conjugate shape, taken in the
-    monomial-symmetric basis, where each e_p must be symmetric (else
-    AsymmetryError); returns the zero vector when la has more parts than the
-    alphabet has forms.  The result must specialise at x_i = 2^i like that
-    determinant of the integers f(2, 4, ..., 2^n), or ConsistencyError.
+    monomial-symmetric basis.  The multiset of forms must be invariant under
+    the symmetric group, which makes every e_p symmetric, or AsymmetryError
+    names a form and its image; returns the zero vector when la has more
+    parts than the alphabet has forms.  The result must specialise at
+    x_i = 2^i like that determinant of the integers f(2, 4, ..., 2^n), or
+    ConsistencyError.
     Past check_schur_at_capacity, CapacityError is raised before any work.
     """
     n = a.var_count
@@ -480,9 +487,14 @@ def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
         return SchurVector(n, {(): 1})
     if len(la) > len(a.forms):
         return SchurVector(n)
+    cuts = [(0, n, None)]
+    _check_symmetric(Counter(a.forms), cuts, forms=True)
     laconj = conjugate(la)
     base = [part - i for i, part in enumerate(laconj)]
-    es = [to_mvector(e).terms for e in graded_elementary(a, cap=laconj[0] - 1 + len(base))]
+    es = [
+        {mu: c for (mu,), c in _pick_dominant(e.terms, cuts).items()}
+        for e in graded_elementary(a, cap=laconj[0] - 1 + len(base))
+    ]
     out = m_to_schur(MVector(n, _poly_det(es, base, n)))
     ints = [1] + [0] * (len(es) - 1)
     for f in a.forms:
@@ -491,5 +503,5 @@ def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
             ints[p] += v * ints[p - 1]
     rows = [[ints[b + j] if 0 <= b + j < len(es) else 0 for j in range(len(base))] for b in base]
     terms = {(mu,): c for mu, c in out.terms.items()}
-    _check_at_two(terms, [(0, n, None)], _int_det(rows), f"s_{la} of the forms")
+    _check_at_two(terms, cuts, _int_det(rows), f"s_{la} of the forms")
     return out

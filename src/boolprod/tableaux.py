@@ -228,11 +228,6 @@ def smallest_ascent(t: Tableau) -> int:
     """
     if not is_standard(t):
         raise ValueError(f"not a standard tableau: {t}")
-    return _smallest_ascent(t)
-
-
-def _smallest_ascent(t: Tableau) -> int:
-    """smallest_ascent of a tableau already known to be standard."""
     row_of = {v: i for i, row in enumerate(t) for v in row}
     n = len(row_of)
     for i in range(1, n):

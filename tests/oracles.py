@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the package:
 tableaux are enumerated cell by cell, determinants expand over permutations,
-products of linear forms pick one variable per factor, and point counts loop
-over whole vector spaces.  Slow but obviously correct
+path families are walked one lattice point at a time, products of linear
+forms pick one variable per factor, and point counts loop over whole vector
+spaces.  Slow but obviously correct
 at the sizes the tests use.
 """
 
@@ -100,6 +101,35 @@ def naive_det(matrix):
             term *= matrix[i][perm[i]]
         total += term
     return total
+
+
+def path_families(la, mu, n):
+    """Families of vertex-disjoint East/South lattice paths, path i from
+    (0, la_i + n - 1 - i) to (b_i, b_i) with b_i = mu_i + n - 1 - i, both
+    padded to n parts, walked one point at a time; the points taken so far
+    are the bits of an int."""
+    a = [p + n - 1 - i for i, p in enumerate(tuple(la) + (0,) * (n - len(la)))]
+    b = [p + n - 1 - i for i, p in enumerate(tuple(mu) + (0,) * (n - len(mu)))]
+    if n == 0:
+        return 1
+    # a point (x, y) of path i has x <= b_i <= y <= a_0: column x holds only
+    # heights x..a_0, so bit x*a_0 + y of `used` is that point's alone
+    width = a[0]
+
+    def walk(i, x, y, used):
+        bit = 1 << (x * width + y)
+        if used & bit:
+            return 0
+        used |= bit
+        end = b[i]
+        if x == end == y:
+            return walk(i + 1, 0, a[i + 1], used) if i + 1 < n else 1
+        total = walk(i, x + 1, y, used) if x < end else 0
+        if y > end:
+            total += walk(i, x, y - 1, used)
+        return total
+
+    return walk(0, 0, width, 0)
 
 
 def derangement_number(n):

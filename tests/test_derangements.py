@@ -21,6 +21,7 @@ from boolprod.derangements import (
 from boolprod.errors import CapacityError, ConsistencyError
 from boolprod.polyring import MonomialPoly
 from boolprod.schur import SchurVector, schur_from_poly
+from boolprod.tableaux import partitions_up_to, smallest_ascent, syt_list
 from oracles import derangement_number
 
 
@@ -189,13 +190,23 @@ def test_a_coeffs_out_of_range():
     with pytest.raises(ValueError):
         a_coeffs_syt(1)
     with pytest.raises(CapacityError):
-        a_coeffs_syt(12)
+        a_coeffs_syt(33)
+
+
+def test_a_coeffs_count_the_listed_tableaux():
+    # the lattice sweep against the tableaux themselves, one at a time
+    for n in range(2, 10):
+        want = {
+            la: sum(1 for t in syt_list(la) if smallest_ascent(t) % 2 == 0)
+            for la in partitions_up_to(n, n)
+        }
+        assert a_coeffs_syt(n) == want, n
 
 
 def test_four_routes_agree():
     # the q = -1 specialization, the signed monomial assembly, the direct
     # (n, n-1) product, and the even-smallest-ascent tableau count all match
-    for n in range(2, 10):
+    for n in range(2, 14):
         from_q = specialize_q(bnm1_q(n), -1)
         alternating = alternating_expansion(n)
         direct = boolean_product(n, n - 1)
@@ -206,7 +217,7 @@ def test_four_routes_agree():
 
 
 def test_tableau_counts_hit_derangement_numbers():
-    for n in range(2, 12):
+    for n in range(2, 33):
         counts = a_coeffs_syt(n)
         vec = SchurVector(n, {la: c for la, c in counts.items() if c})
         assert frobenius_dimension(vec, 0) == derangement_number(n)

@@ -1,12 +1,20 @@
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
+from boolprod import lascoux
 from boolprod.boolean import boolean_product
 from boolprod.errors import CapacityError, ConsistencyError
 from boolprod.lascoux import (
+    GV_MAX_WORK,
+    GV_RANGE_WORK,
+    _chains,
     _endpoints,
     _pair_alphabet,
+    _transfer_work,
+    _work_bound,
     binomial_det,
     gv_count,
     lascoux_check,
@@ -14,7 +22,7 @@ from boolprod.lascoux import (
 from boolprod.polyring import graded_elementary
 from boolprod.schur import SchurVector, schur_from_poly
 from boolprod.tableaux import staircase, subpartitions
-from oracles import graded_piece, naive_det
+from oracles import graded_piece, naive_det, path_families
 
 
 def test_gvconfig_padding():
@@ -65,13 +73,61 @@ def test_gv_known_values(monkeypatch):
 
 
 def test_gv_equals_det_everywhere():
-    assert gv_count((), (), 0) == 1
+    # the transfer, the point-by-point walk and the determinant
+    assert gv_count((), (), 0) == 1 == path_families((), (), 0)
     for n in range(1, 6):
         for la in subpartitions((4, 3, 2, 1)):
             if len(la) > n:
                 continue
             for mu in subpartitions(la):
-                assert gv_count(la, mu, n) == binomial_det(la, mu, n), (la, mu, n)
+                got = gv_count(la, mu, n)
+                assert got == path_families(la, mu, n) == binomial_det(la, mu, n), (la, mu, n)
+
+
+def test_gv_equals_det_near_the_ceiling():
+    for la, mu, n in (
+        ((30, 20, 10), (5, 3, 1), 4),
+        ((20, 15, 10, 5), (5, 3, 1), 5),
+        ((500,), (10,), 1),
+        ((12, 10, 8, 6, 4, 2), (6, 4, 2), 7),
+    ):
+        a, b = _endpoints(la, mu, n)
+        assert 250_000 < _transfer_work(a, b) <= GV_MAX_WORK
+        assert gv_count(la, mu, n) == binomial_det(la, mu, n), (la, mu, n)
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=5))
+def test_chains_match_the_listed_sequences(bounds):
+    ranges = [(min(p), max(p)) for p in bounds]
+    want = 0
+    for v in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+        want += all(v[j] <= v[j - 1] if j % 2 else v[j] < v[j - 1] for j in range(1, len(v)))
+    assert _chains(ranges) == want
+
+
+def test_transfer_work_counts_the_transitions(monkeypatch):
+    # the chains _transfer_work sums are the (h, e) pairs the transfer walks
+    chains, steps = [], []
+    honest_chains, honest_product = lascoux._chains, lascoux.product
+
+    def counted_product(*ranges):
+        for e in honest_product(*ranges):
+            steps.append(e)
+            yield e
+
+    monkeypatch.setattr(lascoux, "_chains", lambda r: chains.append(honest_chains(r)) or chains[-1])
+    monkeypatch.setattr(lascoux, "product", counted_product)
+    for n in range(1, 6):
+        for la in subpartitions((4, 3, 2, 1)):
+            if len(la) > n:
+                continue
+            for mu in subpartitions(la):
+                chains.clear()
+                steps.clear()
+                gv_count(la, mu, n)
+                a, b = _endpoints(la, mu, n)
+                work = _transfer_work(a, b)
+                assert sum(chains) == len(steps) < work <= _work_bound(a, b), (la, mu, n)
 
 
 def test_gv_rejects_non_contained():
@@ -80,9 +136,17 @@ def test_gv_rejects_non_contained():
 
 
 def test_gv_capacity():
-    # start heights (17, 11, 5) sum past the enumeration cap of 30
+    # one path from (0, L) down to (1, 1): in each of its two columns L cells
+    # and L transitions, one cell more, and three ranges, so 4L + 1 + 3 * 16
+    assert GV_MAX_WORK == 2_000_000 and GV_RANGE_WORK == 16
+    assert _transfer_work((499_987,), (1,)) == 1_999_997
+    with pytest.raises(CapacityError, match=r"more than 2,000,000 steps"):
+        gv_count((499_988,), (1,), 1)
+    # a long run of columns is refused before any is counted
     with pytest.raises(CapacityError):
-        gv_count((15, 10, 5), (1,), 3)
+        gv_count((10**9,), (10**9,), 1)
+    # the old cap, 30 on the sum of the start heights, is gone
+    assert gv_count((15, 10, 5), (1,), 3) == binomial_det((15, 10, 5), (1,), 3)
 
 
 def test_lascoux_exterior_n2_by_hand():

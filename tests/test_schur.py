@@ -467,12 +467,24 @@ def test_schur_at_alphabet_matches_the_dense_determinant():
         assert schur_at_alphabet(la, a) == dense_schur_at(la, a), (la, a)
 
 
-def test_a_non_invariant_alphabet_is_read_only_as_far_as_its_e_p_go():
-    # (2x1, x2, x2): e_1 = 2x1 + 2x2 is symmetric, e_2 = 4x1x2 + x2^2 is not
+def test_a_non_invariant_alphabet_is_refused_with_a_form_witness(monkeypatch):
+    # (2x1, x2, x2): e_1 = 2x1 + 2x2 is symmetric, e_2 = 4x1x2 + x2^2 is not;
+    # the forms are checked, so s_1, which reads only e_1, is refused too
     a = Alphabet(2, ((2, 0), (0, 1), (0, 1)))
-    assert schur_at_alphabet((1,), a).terms == {(1,): 2}
-    with pytest.raises(AsymmetryError):
-        schur_at_alphabet((2,), a)
+    for la in ((1,), (2,)):
+        with pytest.raises(AsymmetryError, match="alphabet") as err:
+            schur_at_alphabet(la, a)
+        assert err.value.witness == ((2, 0), (0, 2))
+    # one check of the forms, none of the e_p it reads
+    pairs = subset_alphabet(4, 2)
+    want = dense_schur_at((3, 1), pairs)
+    checks = []
+    honest = schur._check_symmetric
+    monkeypatch.setattr(
+        schur, "_check_symmetric", lambda *args, **kw: checks.append(kw) or honest(*args, **kw)
+    )
+    assert schur_at_alphabet((3, 1), pairs) == want
+    assert checks == [{"forms": True}]
 
 
 def test_schur_at_and_the_alternating_sum_build_no_full_polynomial(monkeypatch):

@@ -159,6 +159,18 @@ def test_smallest_ascent_known_values():
     assert smallest_ascent(other) == 1
 
 
+def test_smallest_ascent_is_the_run_up_the_first_column():
+    # 1 sits at (0, 0), so i + 1 above i puts it at (i, 0): the smallest
+    # ascent is the length of the run 1, 2, ..., r up the first column
+    for d in range(1, 9):
+        for la in partitions_up_to(d, d):
+            for t in syt_list(la):
+                run = 1
+                while run < len(t) and t[run][0] == run + 1:
+                    run += 1
+                assert smallest_ascent(t) == run, t
+
+
 def test_smallest_ascent_rejects_non_standard():
     with pytest.raises(ValueError):
         smallest_ascent(((1, 1), (2,)))
