@@ -18,7 +18,7 @@ from .errors import CapacityError, ConsistencyError
 from .polyring import Alphabet, _int_det, capped_comb, check_fold_capacity, figure
 from .record import Record
 from .schur import SchurVector, schur_of_graded_product
-from .tableaux import Partition, contains, staircase, subpartitions
+from .tableaux import Partition, staircase, subpartitions
 
 # Ceiling on gv_count's transfer, counted before it runs by _transfer_work:
 # its transitions, plus the cells of every height range it reads, plus
@@ -126,13 +126,14 @@ def gv_count(la: Partition, mu: Partition, n: int) -> int:
     East at a height e_i from max(b_i, h_(i+1) + 1) to h_i, or ends at b_i
     when x = b_i; the family is disjoint exactly when every e_i > h_(i+1).
     The active paths are the first few, since b falls, and the state is
-    their entry heights.  Past GV_MAX_WORK, counted first by _transfer_work
-    where _work_bound does not settle it, CapacityError is raised before the
-    transfer.
+    their entry heights.  With mu not inside la some b_i > a_i, path i has
+    no route, and the count is 0, as is the determinant.  Past GV_MAX_WORK,
+    counted first by _transfer_work where _work_bound does not settle it,
+    CapacityError is raised before the transfer.
     """
-    if not contains(la, mu):
-        raise ValueError(f"need mu contained in la, got la={la}, mu={mu}")
     a, b = _endpoints(la, mu, n)
+    if any(bi > ai for ai, bi in zip(a, b)):
+        return 0
     if n == 0:
         return 1  # the empty family
     if _work_bound(a, b) > GV_MAX_WORK and _transfer_work(a, b) > GV_MAX_WORK:

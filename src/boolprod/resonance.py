@@ -3,23 +3,29 @@
 The arrangement consists of the hyperplanes {sum of x_i over i in S = 0} for
 every nonempty S inside [n].  charpoly_ff fits chi/(t - 1) to projective
 point counts (x_1 = 1) at n - 2 primes and checks one holdout prime.  A
-count walks nondecreasing x_2..x_n with one p-bit mask per branch, the
+count walks nondecreasing x_2..x_(n-2) with one mask per branch, the
 residues the next coordinate may not take (0 and the negatives of the subset
-sums so far), and counts the last coordinate by popcount;
-charpoly_mobius builds the lattice of flats rank by rank in integer
-arithmetic and runs the Mobius recursion on it.
-CharPoly checks both against Whitney's t^(n-2) coefficient.  Region counts
-follow by Zaslavsky's evaluation at -1.
+sums so far), and counts the last two coordinates in closed form from one
+big-int square of the allowed residues; charpoly_mobius builds the lattice
+of flats rank by rank, each flat closed by the zero-sets of an integer
+basis of the vectors orthogonal to it, and runs the Mobius recursion over
+down-sets.  CharPoly checks both against Whitney's t^(n-2) coefficient.
+Region counts follow by Zaslavsky's evaluation at -1.
 """
 
-from math import comb, factorial, sqrt
+from math import comb, factorial, gcd, sqrt
 
 from .errors import CapacityError, ConsistencyError
 from .polyring import QPoly
 
-COUNT_MAX_N = 7  # n=7 counts one prime, e.g. complement_count(7, 59), in 2.6-3.3 s
-FF_MAX_N = 6  # n=7 counts six primes in 6-7 s, so it needs allow_long
-MOBIUS_MAX_N = 5  # n=5 builds 1,788 flats in 1.1-1.4 s
+# Timed as fresh processes on a shared 2-core host.  complement_count(7, 59)
+# takes 0.9-1.4 s, and p = 79, the least of n=8's seven primes, 44-59 s.
+COUNT_MAX_N = 7
+# n=7 counts six primes (37-59) in 2.4-3.5 s.  It stays behind allow_long,
+# the one case that flag opens, since COUNT_MAX_N refuses n=8 anyway.
+FF_MAX_N = 6
+# n=5 builds 1,788 flats in 0.2-0.3 s; n=6 takes 11-15 s at 540 MB.
+MOBIUS_MAX_N = 5
 
 
 def _is_prime(p: int) -> bool:
@@ -71,37 +77,57 @@ def complement_count(n: int, p: int) -> int:
 
 
 def _projective_count(n: int, p: int) -> int:
-    """Complement points with x_1 = 1, i.e. chi/(t - 1) at p.  Enumerates
-    nondecreasing x_2..x_n only, weighted by multinomials.  A branch keeps one
-    p-bit mask, forbid: residue 0 and the negatives of the subset sums
-    reachable so far.  v can come next exactly when bit v of forbid is clear,
-    and placing it ors in forbid rotated down by v.  The last coordinate
-    recurses no further: its allowed values v >= prev are counted by one
-    popcount, v = prev weighted for a run one longer."""
-    if n == 1:
-        return 1
-    full = (1 << p) - 1
-    fact = factorial(n - 1)
+    """Complement points with x_1 = 1, i.e. chi/(t - 1) at p.  Walks
+    nondecreasing x_2..x_(n-2), a branch weighing (n-1)! over the factorials
+    of its runs.  It keeps one mask, forbid: residue 0 and the negatives of
+    the subset sums so far, each residue r a W-bit field at bit W*r, all
+    ones when r is forbidden, with 2^W > p^2.  Placing v ors in forbid
+    rotated down by v.
 
-    def rec(remaining: int, forbid: int, prev: int, run: int, denom: int) -> int:
-        if remaining == 1:
-            free = (~forbid & full) >> prev
-            weight = fact // denom
-            if free & 1:
-                return weight * (free.bit_count() - 1) + weight // (run + 1)
-            return weight * free.bit_count()
+    The last two, v <= w, are counted in closed form.  With A the allowed
+    residues above prev, as fields holding 1, the ordered pairs of A whose
+    sum is allowed number |A|^2 less the coefficients of A(x)^2 at forbidden
+    residues: one square, no carries (each coefficient is at most |A| < p),
+    summed mod 2^W - 1 (the sum is below |A|^2).  Halved, they weigh the
+    pairs v < w and the doubles v = w at once; the pairs with v = prev are
+    added for a run one longer, and v = w = prev for two."""
+    if n <= 2:
+        return 1 if n == 1 else p - 2  # x_2 avoids 0 and -x_1
+    width = (p * p).bit_length()
+    span = width * p
+    full = (1 << span) - 1
+    field = (1 << width) - 1
+    ones = full // field
+
+    def rec(remaining: int, forbid: int, prev: int, run: int, weight: int) -> int:
+        if remaining == 2:
+            cut = width * (prev + 1)
+            allowed = (ones & ~forbid) >> cut << cut
+            size = allowed.bit_count()
+            square = allowed * allowed
+            hit = ((square & forbid) + (square >> span & forbid)) % field
+            total = weight * (size * size - hit) // 2
+            shift = width * prev
+            if not forbid >> shift & 1:
+                down = forbid >> shift | forbid << (span - shift) & full
+                weight //= run + 1
+                total += weight * (allowed & ~down).bit_count()
+                if not forbid >> 2 * shift % span & 1:
+                    total += weight // (run + 2)
+            return total
         total = 0
         for v in range(prev, p):
-            if forbid >> v & 1:
+            shift = width * v
+            if forbid >> shift & 1:
                 continue
-            grown = forbid | ((forbid << (p - v)) | (forbid >> v)) & full
+            grown = forbid | forbid >> shift | forbid << (span - shift) & full
             if v == prev:
-                total += rec(remaining - 1, grown, v, run + 1, denom * (run + 1))
+                total += rec(remaining - 1, grown, v, run + 1, weight // (run + 1))
             else:
-                total += rec(remaining - 1, grown, v, 1, denom)
+                total += rec(remaining - 1, grown, v, 1, weight)
         return total
 
-    return rec(n - 1, 1 | 1 << (p - 1), 1, 0, 1)
+    return rec(n - 1, field | field << width * (p - 1), 1, 0, factorial(n - 1))
 
 
 class CharPoly(QPoly):
@@ -158,7 +184,7 @@ def charpoly_ff(n: int, allow_long: bool = False) -> CharPoly:
         raise CapacityError(f"finite field method capped at n={COUNT_MAX_N}, got {n}")
     if n > FF_MAX_N and not allow_long:
         raise CapacityError(
-            f"n={n} counts six primes (37-59) in 6-7 s; "
+            f"n={n} counts six primes (37-59) in 2.4-3.5 s; "
             f"pass allow_long=True (cli --allow-long) to run it"
         )
     *fit, holdout = valid_primes(n, max(n - 1, 1))
@@ -173,60 +199,81 @@ def charpoly_ff(n: int, allow_long: bool = False) -> CharPoly:
     return CharPoly((QPoly((-1, 1)) * chi_bar).coeffs)
 
 
-def _subset_normals(n: int) -> list[tuple[int, ...]]:
-    return [
-        tuple((mask >> i) & 1 for i in range(n)) for mask in range(1, 2**n)
-    ]
-
-
-def _reduce(basis, vec):
-    """Clear each pivot of an integer echelon basis from vec, fraction-free.
-    Row k is zero at the pivots of rows 0..k-1, so one pass in order leaves
-    vec zero exactly when it lies in the span."""
-    for pivot, row in basis:
-        c = vec[pivot]
-        if c:
-            vec = [row[pivot] * v - c * r for v, r in zip(vec, row)]
-    return vec
-
-
 def charpoly_mobius(n: int) -> CharPoly:
-    """Lattice-theoretic oracle: build the flats rank by rank, each one the
-    closure of a flat of the rank below and one hyperplane outside it, and sum
-    mu(F) t^(n - rank F), with mu(bottom) = 1 and mu(F) = -sum of mu(G) over
-    the flats G strictly below F."""
+    """Lattice-theoretic oracle: build the flats rank by rank and sum mu(F)
+    t^(n - rank F), with mu(bottom) = 1 and mu(F) = -sum of mu(G) over the
+    flats G strictly below F.  A flat, held as the bitmask of its hyperplanes
+    (bit S - 1 for the subset S), carries an integer basis of the vectors
+    orthogonal to its normals.  Adding a hyperplane outside it combines that
+    basis, fraction-free, into one vector fewer, and the closure is the AND
+    of the zero-sets of the new vectors k: the subsets S whose k-sum is 0,
+    read off a table of all 2^n subset sums built once per primitive k.
+    Every flat of the rank below that reaches F is covered by it, so the
+    down-set of F, a bitmask over flats in order of discovery, is the union
+    of theirs."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MOBIUS_MAX_N:
         raise CapacityError(
-            f"lattice oracle builds every flat (1,788 in 1.1-1.4 s at n=5); "
-            f"capped at n={MOBIUS_MAX_N}"
+            f"lattice oracle builds every flat (1,788 in 0.2-0.3 s at n=5, "
+            f"11-15 s and 540 MB at n=6); capped at n={MOBIUS_MAX_N}"
         )
-    normals = _subset_normals(n)
-    hyperplanes = range(len(normals))
-    level = {0: []}  # flat, as a bitmask of its hyperplanes -> echelon basis
-    mobius = {0: 1}
+    subsets = range(1, 2**n)
+    every = 2 ** len(subsets) - 1
+    tables = {}  # primitive k -> (k-sum of every subset, zero-set)
+
+    def table(k):
+        found = tables.get(k)
+        if found is None:
+            sums, zero = [0] * 2**n, 0
+            for s in subsets:
+                low = s & -s
+                sums[s] = sums[s ^ low] + k[low.bit_length() - 1]
+                if not sums[s]:
+                    zero |= 1 << (s - 1)
+            found = tables[k] = sums, zero
+        return found
+
+    def primitive(vec):
+        g = gcd(*vec)
+        return tuple(c // g for c in vec)
+
+    # flat -> (kernel basis, down-set: bit i for the i-th flat found)
+    level = {0: ([tuple(int(i == j) for j in range(n)) for i in range(n)], 1)}
+    mobius = [1]
     coeffs = [0] * n + [1]
     for rank in range(1, n + 1):
-        above = {}
-        for flat, basis in level.items():
+        above = {}  # flat -> [basis, union of the down-sets of its lower covers]
+        for flat, (basis, down) in level.items():
+            sums = [table(k)[0] for k in basis]
             covered = flat  # h inside a cover already found would give it again
-            for h in hyperplanes:
-                if covered >> h & 1:
+            for s in subsets:
+                if covered >> (s - 1) & 1:
                     continue
-                vec = _reduce(basis, normals[h])
-                pivot = next(t for t, c in enumerate(vec) if c)
-                grown = basis + [(pivot, vec)]
-                closure = sum(
-                    1 << g for g in hyperplanes if not any(_reduce(grown, normals[g]))
-                )
+                dots = [t[s] for t in sums]
+                j = next(i for i, d in enumerate(dots) if d)
+                grown = [
+                    primitive([dots[j] * a - d * b for a, b in zip(k, basis[j])])
+                    for i, (k, d) in enumerate(zip(basis, dots)) if i != j
+                ]
+                closure = every
+                for k in grown:
+                    closure &= table(k)[1]
                 covered |= closure
-                above.setdefault(closure, grown)
-        for flat in above:
-            mu = -sum(m for below, m in mobius.items() if below & flat == below)
-            mobius[flat] = mu
+                if closure in above:
+                    above[closure][1] |= down
+                else:
+                    above[closure] = [grown, down]
+        level = {}
+        for flat, (basis, below) in above.items():
+            bits = bin(below)[:1:-1]  # bit i at index i
+            mu, i = 0, bits.find("1")
+            while i >= 0:
+                mu -= mobius[i]
+                i = bits.find("1", i + 1)
+            level[flat] = basis, below | 1 << len(mobius)
+            mobius.append(mu)
             coeffs[n - rank] += mu
-        level = above
     return CharPoly(tuple(coeffs))
 
 

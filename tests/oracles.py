@@ -5,7 +5,10 @@ tableaux are enumerated cell by cell, determinants expand over permutations,
 path families are walked one lattice point at a time, products of linear
 forms pick one variable per factor, and point counts loop over whole vector
 spaces.  Slow but obviously correct
-at the sizes the tests use.
+at the sizes the tests use.  Two are the package's earlier routines, kept
+as slow references for the ones that replaced them: the point count that
+popcounts its last coordinate, and the lattice of flats closed by echelon
+reduction against every hyperplane.
 """
 
 from collections import Counter
@@ -147,6 +150,81 @@ def brute_complement_count(n, p):
         else:
             hits += 1
     return hits
+
+
+def popcount_projective_count(n, p):
+    """Points of F_p^n with x_1 = 1 off every subset-sum hyperplane, over
+    nondecreasing x_2..x_n weighted by multinomials.  A branch keeps a p-bit
+    mask of the residues the next coordinate may not take (0 and the
+    negatives of the subset sums so far); the last coordinate is counted by
+    one popcount, its value prev weighted for a run one longer."""
+    if n == 1:
+        return 1
+    full = (1 << p) - 1
+    fact = factorial(n - 1)
+
+    def rec(remaining, forbid, prev, run, denom):
+        if remaining == 1:
+            free = (~forbid & full) >> prev
+            weight = fact // denom
+            if free & 1:
+                return weight * (free.bit_count() - 1) + weight // (run + 1)
+            return weight * free.bit_count()
+        total = 0
+        for v in range(prev, p):
+            if forbid >> v & 1:
+                continue
+            grown = forbid | ((forbid << (p - v)) | (forbid >> v)) & full
+            if v == prev:
+                total += rec(remaining - 1, grown, v, run + 1, denom * (run + 1))
+            else:
+                total += rec(remaining - 1, grown, v, 1, denom)
+        return total
+
+    return rec(n - 1, 1 | 1 << (p - 1), 1, 0, 1)
+
+
+def _reduce(basis, vec):
+    """Clear each pivot of an integer echelon basis from vec, fraction-free;
+    vec ends zero exactly when it lies in the span."""
+    for pivot, row in basis:
+        c = vec[pivot]
+        if c:
+            vec = [row[pivot] * v - c * r for v, r in zip(vec, row)]
+    return vec
+
+
+def reduce_mobius_coeffs(n):
+    """Ascending coefficients of the characteristic polynomial from the
+    lattice of flats: each flat of a rank is the closure of one below and a
+    hyperplane outside it, found by reducing every normal against the grown
+    echelon basis, and mu(F) sums over every flat found before F."""
+    normals = [tuple(mask >> i & 1 for i in range(n)) for mask in range(1, 2**n)]
+    hyperplanes = range(len(normals))
+    level = {0: []}  # flat, as a bitmask of its hyperplanes -> echelon basis
+    mobius = {0: 1}
+    coeffs = [0] * n + [1]
+    for rank in range(1, n + 1):
+        above = {}
+        for flat, basis in level.items():
+            covered = flat
+            for h in hyperplanes:
+                if covered >> h & 1:
+                    continue
+                vec = _reduce(basis, normals[h])
+                pivot = next(t for t, c in enumerate(vec) if c)
+                grown = basis + [(pivot, vec)]
+                closure = sum(
+                    1 << g for g in hyperplanes if not any(_reduce(grown, normals[g]))
+                )
+                covered |= closure
+                above.setdefault(closure, grown)
+        for flat in above:
+            mu = -sum(m for below, m in mobius.items() if below & flat == below)
+            mobius[flat] = mu
+            coeffs[n - rank] += mu
+        level = above
+    return tuple(coeffs)
 
 
 def graded_piece(terms, d):

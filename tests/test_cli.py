@@ -142,9 +142,13 @@ def test_json_bialphabet_terms(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    code, _, err = run_cli(capsys, "gv-count", "--lambda", "1", "--mu", "2", "--dim", "3")
+    code, _, err = run_cli(capsys, "gv-count", "--lambda", "1,1,1,1", "--mu", "2", "--dim", "3")
     assert code == 2
     assert err.startswith("error:")
+    # mu not inside la is no usage error: no path family, and the
+    # determinant is 0 too
+    for command in ("gv-count", "binom-det"):
+        assert run_cli(capsys, command, "--lambda", "1", "--mu", "2", "--dim", "3") == (0, "0\n", "")
 
     code, _, err = run_cli(capsys, "boolean-expand", "--n", "2", "--k", "3")
     assert code == 2

@@ -21,7 +21,7 @@ from boolprod.lascoux import (
 )
 from boolprod.polyring import graded_elementary
 from boolprod.schur import SchurVector, schur_from_poly
-from boolprod.tableaux import staircase, subpartitions
+from boolprod.tableaux import contains, staircase, subpartitions
 from oracles import graded_piece, naive_det, path_families
 
 
@@ -130,9 +130,16 @@ def test_transfer_work_counts_the_transitions(monkeypatch):
                 assert sum(chains) == len(steps) < work <= _work_bound(a, b), (la, mu, n)
 
 
-def test_gv_rejects_non_contained():
-    with pytest.raises(ValueError):
-        gv_count((1,), (2,), 3)
+def test_gv_is_zero_when_mu_is_not_inside_la():
+    # some mu_i > la_i leaves path i no route, and the determinant vanishes
+    cases = 0
+    for n in range(1, 5):
+        for la in subpartitions((3, 2, 1)):
+            for mu in subpartitions((4,) * n):
+                if len(la) <= n and not contains(la, mu):
+                    assert gv_count(la, mu, n) == binomial_det(la, mu, n) == 0, (la, mu, n)
+                    cases += 1
+    assert cases > 1000
 
 
 def test_gv_capacity():

@@ -12,7 +12,7 @@ from boolprod.resonance import (
     regions,
     valid_primes,
 )
-from oracles import brute_complement_count
+from oracles import brute_complement_count, popcount_projective_count, reduce_mobius_coeffs
 
 # coefficients are ascending: chi_2 = t^2 - 3t + 2, and so on
 FROZEN_CHI = {
@@ -53,6 +53,22 @@ def test_complement_count_against_brute_force():
     )
     for n, p in cases:
         assert complement_count(n, p) == brute_complement_count(n, p)
+
+
+def test_complement_count_matches_the_popcount_walk():
+    # every valid prime below 64 up to n = 6, two at n = 7, and primes whose
+    # squares need 13, 14 and 17-bit fields where p < 64 needs at most 12;
+    # at p = 8191 one coefficient of the square reaches 8188, past 12 bits
+    cases = [(n, p) for n in range(1, 7) for p in valid_primes(n, 18) if p < 64]
+    cases += [(7, 37), (7, 41), (3, 67), (3, 127), (3, 257), (3, 8191)]
+    assert (6, 61) in cases and (1, 2) in cases
+    for n, p in cases:
+        assert complement_count(n, p) == (p - 1) * popcount_projective_count(n, p)
+
+
+def test_mobius_matches_the_echelon_closure():
+    for n in range(1, 5):
+        assert charpoly_mobius(n).coeffs == reduce_mobius_coeffs(n)
 
 
 def test_complement_count_divisible_by_p_minus_one():
@@ -113,7 +129,7 @@ def test_charpoly_whitney_check():
 
 
 def test_two_methods_agree():
-    for n in range(1, 5):
+    for n in range(1, 6):
         assert charpoly_ff(n).coeffs == charpoly_mobius(n).coeffs
 
 
