@@ -66,6 +66,26 @@ def _chains(ranges: list) -> int:
     return sum(ways)
 
 
+def _columns(a: tuple[int, ...], b: tuple[int, ...]):
+    """Yield (ranges, run) over the columns of gv_count's transfer from
+    heights a to b: the ranges a column's chains take their values from, as
+    _transfer_work reads them, and how many columns in a row have them."""
+    low, x = list(a), 0
+    while x <= b[0]:
+        k = len(low)
+        on = k - (b[k - 1] == x)  # the paths that go on past column x
+        nxt = [max(b[i], low[i + 1] + 1) if i + 1 < k else b[i] for i in range(on)]
+        ranges = []
+        for i in range(k):
+            ranges.append((low[i], a[i]))
+            if i < on:
+                ranges.append((nxt[i], a[i]))
+        # lows that stay put stay so until the last active path ends
+        run = b[k - 1] - x if nxt == low else 1
+        yield ranges, run
+        low, x = nxt, x + run
+
+
 def _transfer_work(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """The work of gv_count's transfer from heights a to b, exactly, or any
     count past GV_MAX_WORK once it is sure to pass it.
@@ -76,29 +96,24 @@ def _transfer_work(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     reached, through h_i = max(e_i, low_i) the column before.  So the
     transitions are the chains h_0 >= e_0 > h_1 >= e_1 > ... with h_i from
     low_i to a_i and e_i from the next low_i to a_i, the path that ends at x
-    having no e.  Each path i is active in b_i + 1 columns and reads at
-    least one range there, which bounds the work from below before counting.
+    having no e.  Every value of a range is taken by some transition, so
+    the widest range of each column gives a floor on the work, taken over
+    runs of equal columns before any chain is counted.
     """
-    if sum(bi + 1 for bi in b) * (1 + GV_RANGE_WORK) > GV_MAX_WORK:
-        return GV_MAX_WORK + 1
-    low, total = list(a), 0
-    for x in range(b[0] + 1):
-        k = len(low)
-        on = k - (b[k - 1] == x)  # the paths that go on past column x
-        nxt = [max(b[i], low[i + 1] + 1) if i + 1 < k else b[i] for i in range(on)]
-        ranges = []
-        for i in range(k):
-            ranges.append((low[i], a[i]))
-            if i < on:
-                ranges.append((nxt[i], a[i]))
-        # every value of a range is taken by some transition, so a range
-        # past the ceiling is refused before _chains builds it
-        total += sum(hi - lo + 1 + GV_RANGE_WORK for lo, hi in ranges)
-        if total <= GV_MAX_WORK:
-            total += _chains(ranges)
-        if total > GV_MAX_WORK:
-            break
-        low = nxt
+    columns = list(_columns(a, b))
+    cells = [sum(hi - lo + 1 + GV_RANGE_WORK for lo, hi in ranges) for ranges, _ in columns]
+    floor = sum(
+        run * (cell + max(hi - lo + 1 for lo, hi in ranges))
+        for (ranges, run), cell in zip(columns, cells)
+    )
+    if floor > GV_MAX_WORK:
+        return floor
+    total = 0
+    for (ranges, run), cell in zip(columns, cells):
+        for _ in range(run):  # column by column, as the transfer walks them
+            total += cell + _chains(ranges)
+            if total > GV_MAX_WORK:
+                return total
     return total
 
 

@@ -2,14 +2,12 @@
 
 One routine, ``schur_from_dominant``, reads a polynomial symmetric in each
 variable block off in the product of the blocks' Schur bases, from its
-coefficients at partitions alone: one forward pass per block places the
-rearrangements of every partition at once, merging partial placements that
-meet, and antisymmetrises them against the staircase.  ``block_schur``
-picks those coefficients out of a full polynomial after checking that it is
-invariant under a swap and a cycle of each block; ``schur_of_product`` gets
-them from the dominant coefficients of a product of linear forms, never
-built, guarded by an invariance check on the forms and a
-principal-specialisation self-check in every block;
+coefficients at partitions alone, antisymmetrising all their rearrangements at
+once against the staircase.  ``block_schur`` picks those coefficients out of a
+full polynomial after checking that it is invariant under a swap and a cycle
+of each block; ``schur_of_product`` gets them from the dominant coefficients
+of a product of linear forms, never built, guarded by an invariance check on
+the forms and a principal-specialisation self-check in every block;
 ``schur_of_graded_product`` does so for the product of the 1 + f, whose
 degree-p part is e_p of the forms.  ``schur_to_m`` goes back through Kostka
 numbers.  ``schur_at_alphabet`` evaluates a Schur polynomial at the forms of
@@ -17,16 +15,10 @@ an alphabet through the dual Jacobi-Trudi determinant in their e_p, taken on
 m-basis dicts by ``_m_product``, as is the Horner sum of
 ``derangements.alternating_expansion``; neither sees polyring's packed keys.
 
-Shape work that does not depend on the product is shared by every read-off in
-the process: ``_MOVES`` holds the moves of each sorted tuple of entries left to
-place, keyed by that tuple, and ``polyring._packed_partitions`` a block's
-packed partitions, keyed by (degree, first field, block size, field width).
-After ``boolean_product(7, 4)`` they hold 32,149 tuples (about 19 MB) and
-3,539 partitions (0.65 MB).  ``_splits`` holds the split pairs of each
-(mu, e) an m-basis product meets, each partition stored once in
-``_SPLIT_PARTS``: 1,596 entries (about 0.5 MB) after
-``alternating_expansion(18)`` and 4,539 (6.6 MB) after s_(6,6,6) of the
-(7,3) alphabet.
+Its walk holds a state as two ints, an interned rest and a key of placed bits,
+and writes the last position into its result, the one place zero sums are
+dropped.  Shape work kept for the process is sized in the README: interned
+rests and moves (``_REST_IDS``, ``_STEPS``), ``_shape``'s memo and ``_splits``.
 """
 
 from collections import Counter
@@ -129,10 +121,11 @@ def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...
     return schur_from_dominant(_dominant_terms(poly, blocks), blocks)
 
 
+@cache
 def _shape(mask: int, n: int) -> Partition:
-    """The partition la of at most n parts whose la + delta, delta = (n-1,
-    ..., 0), has its entries at the set bits of mask: la_i is the i-th
-    highest set bit less n - i, read off the set bits alone, highest first."""
+    """The partition la of at most n parts whose la + delta, delta = (n-1, ...,
+    0), has its entries at the set bits of mask: la_i is the i-th highest set
+    bit less n - i."""
     la: list[int] = []
     while mask and (part := mask.bit_length() + len(la) - n) > 0:
         la.append(part)
@@ -140,20 +133,27 @@ def _shape(mask: int, n: int) -> Partition:
     return tuple(la)
 
 
-# sorted rest -> (rest, its steps, or None until a state holds rest)
-_MOVES: dict[tuple[int, ...], tuple] = {}
+# sorted rest -> id; id -> rest; id -> its steps, once a state holds it
+_REST_IDS: dict[tuple[int, ...], int] = {}
+_RESTS: list[tuple[int, ...]] = []
+_STEPS: dict[int, tuple] = {}
 
 
-def _steps(rest: tuple[int, ...]) -> list:
-    """Store in _MOVES and return (1 << (v + len(rest) - 1), rest less one v)
-    for each distinct v of rest, len(rest) - 1 being the number of entries
-    placed after v; each left is interned to its own key there."""
-    steps = []
-    for i, v in enumerate(rest):
-        if not i or rest[i - 1] != v:
-            left = rest[:i] + rest[i + 1 :]
-            steps.append((1 << (v + len(rest) - 1), _MOVES.setdefault(left, (left, None))[0]))
-    _MOVES[rest] = _MOVES.get(rest, (rest,))[0], steps
+def _rest_id(rest: tuple[int, ...]) -> int:
+    if (rid := _REST_IDS.setdefault(rest, len(_RESTS))) == len(_RESTS):
+        _RESTS.append(rest)
+    return rid
+
+
+def _steps(rid: int) -> tuple:
+    """Store in _STEPS and return (1 << (v + len(rest) - 1), id of rest less
+    one v) for each distinct v of rest = _RESTS[rid]."""
+    rest = _RESTS[rid]
+    _STEPS[rid] = steps = tuple(
+        (1 << (v + len(rest) - 1), _rest_id(rest[:i] + rest[i + 1 :]))
+        for i, v in enumerate(rest)
+        if not i or rest[i - 1] != v
+    )
     return steps
 
 
@@ -164,46 +164,47 @@ def schur_from_dominant(
     each block whose coefficient of x^mu is dominant[mu], mu given by one
     partition per block; a coefficient that cancels to 0 is left out.
 
-    With delta = (s-1, ..., 0) in a block of size s, f * a_delta is the
-    antisymmetrisation of f * x^delta, and s_la = a_(la+delta)/a_delta
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.3).  So each
-    monomial c x^alpha of f whose alpha+delta has distinct entries in every
-    block adds sgn(sigma) c at sort(alpha+delta) - delta, sigma sorting each
-    block.  One forward pass per block, last to first, places every term's
-    alpha at once, one position at a time with shift s-1 down to 0.  A state
-    (tag, mask, rest) holds in tag the masks of the blocks done and the
-    partitions of the blocks to do, in mask the entries of alpha+delta
-    placed so far as set bits, and in rest the sorted entries left, zeros
-    included.  Each distinct value v of rest moves to bit v + shift unless it
-    is taken, flipping the sign if an odd number of placed entries lie below
-    it; states that meet add their coefficients, and zero sums are dropped
-    after each position; the moves of each rest come from the shared _MOVES.
-    Each final mask is read as a partition once.
+    With delta = (s-1, ..., 0) in a block of size s, s_la = a_(la+delta) /
+    a_delta (Macdonald, Symmetric Functions and Hall Polynomials, I.3), so
+    each monomial c x^alpha of f whose alpha+delta has distinct entries in
+    every block adds sgn(sigma) c at sort(alpha+delta) - delta, sigma sorting
+    each block.  A block of size s < 2 is read as it is (s_(k) = x^k).  One
+    pass per larger block, last to first, places every alpha at once, one
+    position at a time with shift s-1 down to 0.  A state is a key, the
+    entries placed so far as set bits below bit w and its tag's index (the
+    other blocks' partitions) above, under the _REST_IDS id of rest, the
+    sorted entries left.  Each value v of rest moves to bit v + shift unless
+    it is taken, flipping the sign if an odd number of placed entries lie
+    below it; states that meet add up.  The last value goes straight into
+    the block's result, where alone zero sums are dropped.
     """
     sizes = [size for size, _ in blocks]
-    moves_get = _MOVES.get
-    done = dict(dominant)
+    done = {key: c for key, c in dominant.items() if c and all(map(ge, sizes, map(len, key)))}
     for b in reversed(range(len(sizes))):
-        s = sizes[b]
-        states: dict[tuple, int] = {}
+        if (s := sizes[b]) < 2:
+            continue
+        w = s + max((key[b][0] for key in done if key[b]), default=0)
+        tags, states = {}, {}  # tag -> index; rest id -> {key: coefficient}
         for key, c in done.items():
-            mu = key[b]
-            if len(mu) <= s:
-                states[key[:b] + key[b + 1 :], 0, (0,) * (s - len(mu)) + mu[::-1]] = c
-        for _ in range(s):
-            merged: dict[tuple, int] = {}
-            get = merged.get
-            for (tag, mask, rest), c in states.items():
-                entry = moves_get(rest)
-                for bit, left in entry and entry[1] or _steps(rest):
-                    if not mask & bit:
-                        state = tag, mask | bit, left
-                        merged[state] = get(state, 0) + (
-                            -c if (mask & (bit - 1)).bit_count() & 1 else c
-                        )
-            states = {state: c for state, c in merged.items() if c}
-        done = {tag[:b] + (mask,) + tag[b:]: c for (tag, mask, _), c in states.items()}
-    return {tuple(map(_shape, masks, sizes)): c for masks, c in done.items() if c}
+            tag, mu = tags.setdefault(key[:b] + key[b + 1 :], len(tags)), key[b]
+            states.setdefault(_rest_id((0,) * (s - len(mu)) + mu[::-1]), {})[tag << w] = c
+        steps_get, out = _STEPS.get, {}
+        for pos in reversed(range(s)):
+            merged: dict[int, dict[int, int]] = {}
+            for rid, held in states.items():
+                for bit, left in steps_get(rid) or _steps(rid):
+                    below, into = bit - 1, merged.setdefault(left, {}) if pos else out
+                    get = into.get
+                    for key, c in held.items():
+                        if not key & bit:
+                            odd = (key & below).bit_count() & 1
+                            into[to] = get(to := key | bit, 0) + (-c if odd else c)
+            states = merged
+        tag_list, low, done = list(tags), (1 << w) - 1, {}
+        for key, c in out.items():
+            if c:
+                done[(tag := tag_list[key >> w])[:b] + (_shape(key & low, s),) + tag[b:]] = c
+    return done
 
 
 def _one_block(route, arg, n: int) -> SchurVector:
@@ -243,8 +244,7 @@ def schur_to_m(v: SchurVector) -> MVector:
 
 def m_to_schur(v: MVector) -> SchurVector:
     """Unique Schur expansion of a monomial-symmetric combination."""
-    dominant = {(mu,): c for mu, c in v.terms.items()}
-    return _one_block(schur_from_dominant, dominant, v.var_count)
+    return _one_block(schur_from_dominant, {(mu,): c for mu, c in v.terms.items()}, v.var_count)
 
 
 def schur_from_poly(p: MonomialPoly) -> SchurVector:

@@ -156,6 +156,29 @@ def test_gv_capacity():
     assert gv_count((15, 10, 5), (1,), 3) == binomial_det((15, 10, 5), (1,), 3)
 
 
+def test_refusals_near_the_path_ceiling_count_no_chain(monkeypatch):
+    # the floor over runs of equal columns refuses both before any chain
+    # is counted; the second has 58,001 columns, taken as two runs
+    monkeypatch.setattr(lascoux, "_chains", lambda ranges: pytest.fail(f"counted {ranges}"))
+    for la, mu in (((499_988,), (1,)), ((58_000,), (58_000,))):
+        with pytest.raises(CapacityError, match=r"more than 2,000,000 steps"):
+            gv_count(la, mu, 1)
+    assert [run for _, run in lascoux._columns((58_000,), (58_000,))] == [58_000, 1]
+
+
+def test_a_floor_at_the_ceiling_still_counts_the_chains(monkeypatch):
+    # cells, 16 a range and the widest range of each column: below the work,
+    # so with the ceiling set to it the count must go on past it
+    a, b = _endpoints((4, 2, 1), (1,), 3)
+    floor = 0
+    for ranges, run in lascoux._columns(a, b):
+        widths = [hi - lo + 1 for lo, hi in ranges]
+        floor += run * (sum(widths) + GV_RANGE_WORK * len(ranges) + max(widths))
+    assert floor < _transfer_work(a, b)
+    monkeypatch.setattr(lascoux, "GV_MAX_WORK", floor)
+    assert _transfer_work(a, b) > floor
+
+
 def test_lascoux_exterior_n2_by_hand():
     report = lascoux_check(2, "exterior")
     assert report.equal

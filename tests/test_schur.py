@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import permutations, product
+from math import prod
 from operator import sub
 
 import pytest
@@ -246,6 +247,61 @@ def test_an_empty_block_has_one_empty_arrangement():
     assert schur_from_dominant({((), (1, 1)): 1}, [(0, "x"), (2, "y")]) == {((), (1, 1)): 1}
 
 
+def brute_blocks(dominant, sizes):
+    """The read-off of a dominant dict over blocks of the given sizes, by
+    brute_signed_orbit in each block; a part list longer than its block has
+    no arrangement."""
+    out = {}
+    for key, c in dominant.items():
+        orbits = [brute_signed_orbit(mu, s) if len(mu) <= s else {} for mu, s in zip(key, sizes)]
+        for combo in product(*(orbit.items() for orbit in orbits)):
+            la = tuple(shape for shape, _ in combo)
+            out[la] = out.get(la, 0) + c * prod(e for _, e in combo)
+    return {la: c for la, c in out.items() if c}
+
+
+# sizes 0 and 1 alone and beside larger blocks, three blocks, and sizes past
+# which a drawn partition can run
+LAYOUTS = [(0,), (1,), (2,), (4,), (0, 2), (2, 0), (1, 3), (3, 1), (2, 1, 2), (1, 0, 3), (3, 2, 1)]
+
+
+@st.composite
+def dominant_dicts(draw):
+    sizes = draw(st.sampled_from(LAYOUTS))
+    part = st.lists(st.integers(1, 4), max_size=max(sizes) + 1).map(
+        lambda parts: tuple(sorted(parts, reverse=True))
+    )
+    keys = st.tuples(*(part for _ in sizes))
+    return sizes, draw(st.dictionaries(keys, st.integers(-3, 3), max_size=8))
+
+
+@settings(deadline=None, max_examples=300)
+@given(dominant_dicts())
+def test_the_walk_matches_brute_antisymmetrisation(case):
+    sizes, dominant = case
+    blocks = [(s, f"b{i}") for i, s in enumerate(sizes)]
+    assert schur_from_dominant(dominant, blocks) == brute_blocks(dominant, sizes)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(LAYOUTS), st.data())
+def test_the_walk_cancels_a_schur_combination_back_to_itself(sizes, data):
+    # the m-expansion of a combination of Schur products: every other shape
+    # it meets must cancel to exactly nothing
+    shapes = [
+        st.sampled_from([la for d in range(5) for la in partitions_up_to(d, s)]) for s in sizes
+    ]
+    want = data.draw(st.dictionaries(st.tuples(*shapes), st.integers(-3, 3).filter(bool)))
+    dominant = {}
+    for key, c in want.items():
+        ms = [schur_to_m(SchurVector(s, {la: 1})).terms for la, s in zip(key, sizes)]
+        for combo in product(*(m.items() for m in ms)):
+            mu = tuple(m for m, _ in combo)
+            dominant[mu] = dominant.get(mu, 0) + c * prod(k for _, k in combo)
+    blocks = [(s, None) for s in sizes]
+    assert schur_from_dominant(dominant, blocks) == want
+
+
 def bit_scan_shape(mask, n):
     """_shape by a scan of every bit below the top one."""
     bits = [b for b in range(mask.bit_length())[::-1] if mask >> b & 1]
@@ -270,16 +326,13 @@ def test_every_stored_move_equals_a_fresh_one():
     boolean_product(5, 2)
     pjk_expand(2, 3, 1, 2)
     schur_of_graded_product(subset_alphabet(4, 2))
-    keys = {id(rest) for rest in schur._MOVES}
-    built = 0
-    for rest, (key, steps) in schur._MOVES.items():
-        assert key is rest
-        if steps is not None:
-            built += 1
-            assert steps == fresh_steps(rest)
-            # each left is stored once, as the table's own key
-            assert all(id(left) in keys for _, left in steps)
-    assert built
+    # each rest is stored once, under the id that indexes it
+    assert len(schur._RESTS) == len(schur._REST_IDS)
+    assert all(schur._REST_IDS[rest] == rid for rid, rest in enumerate(schur._RESTS))
+    assert schur._STEPS
+    for rid, steps in schur._STEPS.items():
+        rest = schur._RESTS[rid]
+        assert [(bit, schur._RESTS[left]) for bit, left in steps] == fresh_steps(rest)
 
 
 def test_the_shared_tables_do_not_change_results_in_either_order():
@@ -296,7 +349,10 @@ def test_the_shared_tables_do_not_change_results_in_either_order():
     ]
 
     def clear():
-        schur._MOVES.clear()
+        schur._REST_IDS.clear()
+        schur._RESTS.clear()
+        schur._STEPS.clear()
+        schur._shape.cache_clear()
         schur._splits.cache_clear()
         schur._SPLIT_PARTS.clear()
         polyring._packed_partitions.cache_clear()
