@@ -96,24 +96,27 @@ def _transfer_work(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     reached, through h_i = max(e_i, low_i) the column before.  So the
     transitions are the chains h_0 >= e_0 > h_1 >= e_1 > ... with h_i from
     low_i to a_i and e_i from the next low_i to a_i, the path that ends at x
-    having no e.  Every value of a range is taken by some transition, so
-    the widest range of each column gives a floor on the work, taken over
-    runs of equal columns before any chain is counted.
+    having no e.  Each path i is active in b_i + 1 columns and reads at
+    least one range there, which bounds the work from below before any
+    column is built.  Every value of a range is taken by some transition,
+    so the widest range of each column gives a closer floor: a first pass
+    over runs of equal columns takes it, storing nothing, and stops once it
+    passes GV_MAX_WORK, before any chain is counted.  A second pass counts
+    the chains of each run once.
     """
-    columns = list(_columns(a, b))
-    cells = [sum(hi - lo + 1 + GV_RANGE_WORK for lo, hi in ranges) for ranges, _ in columns]
-    floor = sum(
-        run * (cell + max(hi - lo + 1 for lo, hi in ranges))
-        for (ranges, run), cell in zip(columns, cells)
-    )
-    if floor > GV_MAX_WORK:
-        return floor
+    if sum(bi + 1 for bi in b) * (1 + GV_RANGE_WORK) > GV_MAX_WORK:
+        return GV_MAX_WORK + 1
+    floor = 0
+    for ranges, run in _columns(a, b):
+        widths = [hi - lo + 1 for lo, hi in ranges]
+        floor += run * (sum(widths) + GV_RANGE_WORK * len(ranges) + max(widths))
+        if floor > GV_MAX_WORK:
+            return floor
     total = 0
-    for (ranges, run), cell in zip(columns, cells):
-        for _ in range(run):  # column by column, as the transfer walks them
-            total += cell + _chains(ranges)
-            if total > GV_MAX_WORK:
-                return total
+    for ranges, run in _columns(a, b):
+        total += run * (sum(hi - lo + 1 + GV_RANGE_WORK for lo, hi in ranges) + _chains(ranges))
+        if total > GV_MAX_WORK:
+            break
     return total
 
 

@@ -2,12 +2,14 @@
 
 One routine, ``schur_from_dominant``, reads a polynomial symmetric in each
 variable block off in the product of the blocks' Schur bases, from its
-coefficients at partitions alone, antisymmetrising all their rearrangements at
-once against the staircase.  ``block_schur`` picks those coefficients out of a
-full polynomial after checking that it is invariant under a swap and a cycle
-of each block; ``schur_of_product`` gets them from the dominant coefficients
-of a product of linear forms, never built, guarded by an invariance check on
-the forms and a principal-specialisation self-check in every block;
+coefficients at partitions alone: one forward pass per block places the
+rearrangements of every partition at once, merging partial placements that
+meet, and antisymmetrises them against the staircase.  ``block_schur``
+picks those coefficients out of a full polynomial after checking that it is
+invariant under a swap and a cycle of each block; ``schur_of_product`` gets
+them from the dominant coefficients of a product of linear forms, never
+built, guarded by an invariance check on the forms and a
+principal-specialisation self-check in every block;
 ``schur_of_graded_product`` does so for the product of the 1 + f, whose
 degree-p part is e_p of the forms.  ``schur_to_m`` goes back through Kostka
 numbers.  ``schur_at_alphabet`` evaluates a Schur polynomial at the forms of
@@ -15,10 +17,20 @@ an alphabet through the dual Jacobi-Trudi determinant in their e_p, taken on
 m-basis dicts by ``_m_product``, as is the Horner sum of
 ``derangements.alternating_expansion``; neither sees polyring's packed keys.
 
-Its walk holds a state as two ints, an interned rest and a key of placed bits,
-and writes the last position into its result, the one place zero sums are
-dropped.  Shape work kept for the process is sized in the README: interned
-rests and moves (``_REST_IDS``, ``_STEPS``), ``_shape``'s memo and ``_splits``.
+A partial placement is two ints, the id of the sorted entries left to
+place and a key of the entries placed so far as set bits; the last position
+is written straight into the block's result, the one place zero sums are
+dropped.  Shape work that does not depend on the product is shared by every
+read-off in the process: ``_REST_IDS`` interns each sorted tuple of entries
+left to place to an id, ``_RESTS`` maps the id back and ``_STEPS`` holds its
+moves, and ``polyring._packed_partitions`` a block's packed partitions, keyed
+by (degree, first field, block size, field width).  After
+``boolean_product(7, 4)`` they hold 32,149 tuples (about 17.5 MB) and 3,539
+partitions (0.65 MB).  ``_splits`` holds the split pairs of each
+(mu, e) an m-basis product meets, each partition stored once in
+``_SPLIT_PARTS``: 1,596 entries (about 0.5 MB) after
+``alternating_expansion(18)`` and 4,539 (6.6 MB) after s_(6,6,6) of the
+(7,3) alphabet.
 """
 
 from collections import Counter
@@ -121,11 +133,10 @@ def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...
     return schur_from_dominant(_dominant_terms(poly, blocks), blocks)
 
 
-@cache
 def _shape(mask: int, n: int) -> Partition:
-    """The partition la of at most n parts whose la + delta, delta = (n-1, ...,
-    0), has its entries at the set bits of mask: la_i is the i-th highest set
-    bit less n - i."""
+    """The partition la of at most n parts whose la + delta, delta = (n-1,
+    ..., 0), has its entries at the set bits of mask: la_i is the i-th
+    highest set bit less n - i, read off the set bits alone, highest first."""
     la: list[int] = []
     while mask and (part := mask.bit_length() + len(la) - n) > 0:
         la.append(part)
@@ -133,15 +144,16 @@ def _shape(mask: int, n: int) -> Partition:
     return tuple(la)
 
 
-# sorted rest -> id; id -> rest; id -> its steps, once a state holds it
+# sorted rest -> id; id -> rest; id -> its steps, or None until a state holds it
 _REST_IDS: dict[tuple[int, ...], int] = {}
 _RESTS: list[tuple[int, ...]] = []
-_STEPS: dict[int, tuple] = {}
+_STEPS: list[tuple | None] = []
 
 
 def _rest_id(rest: tuple[int, ...]) -> int:
     if (rid := _REST_IDS.setdefault(rest, len(_RESTS))) == len(_RESTS):
         _RESTS.append(rest)
+        _STEPS.append(None)
     return rid
 
 
@@ -164,11 +176,12 @@ def schur_from_dominant(
     each block whose coefficient of x^mu is dominant[mu], mu given by one
     partition per block; a coefficient that cancels to 0 is left out.
 
-    With delta = (s-1, ..., 0) in a block of size s, s_la = a_(la+delta) /
-    a_delta (Macdonald, Symmetric Functions and Hall Polynomials, I.3), so
-    each monomial c x^alpha of f whose alpha+delta has distinct entries in
-    every block adds sgn(sigma) c at sort(alpha+delta) - delta, sigma sorting
-    each block.  A block of size s < 2 is read as it is (s_(k) = x^k).  One
+    With delta = (s-1, ..., 0) in a block of size s, f * a_delta is the
+    antisymmetrisation of f * x^delta, and s_la = a_(la+delta)/a_delta
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3).  So each
+    monomial c x^alpha of f whose alpha+delta has distinct entries in every
+    block adds sgn(sigma) c at sort(alpha+delta) - delta, sigma sorting each
+    block.  A block of size s < 2 is read as it is (s_(k) = x^k).  One
     pass per larger block, last to first, places every alpha at once, one
     position at a time with shift s-1 down to 0.  A state is a key, the
     entries placed so far as set bits below bit w and its tag's index (the
@@ -188,11 +201,11 @@ def schur_from_dominant(
         for key, c in done.items():
             tag, mu = tags.setdefault(key[:b] + key[b + 1 :], len(tags)), key[b]
             states.setdefault(_rest_id((0,) * (s - len(mu)) + mu[::-1]), {})[tag << w] = c
-        steps_get, out = _STEPS.get, {}
+        steps, out = _STEPS, {}
         for pos in reversed(range(s)):
             merged: dict[int, dict[int, int]] = {}
             for rid, held in states.items():
-                for bit, left in steps_get(rid) or _steps(rid):
+                for bit, left in steps[rid] or _steps(rid):
                     below, into = bit - 1, merged.setdefault(left, {}) if pos else out
                     get = into.get
                     for key, c in held.items():
@@ -244,7 +257,8 @@ def schur_to_m(v: SchurVector) -> MVector:
 
 def m_to_schur(v: MVector) -> SchurVector:
     """Unique Schur expansion of a monomial-symmetric combination."""
-    return _one_block(schur_from_dominant, {(mu,): c for mu, c in v.terms.items()}, v.var_count)
+    dominant = {(mu,): c for mu, c in v.terms.items()}
+    return _one_block(schur_from_dominant, dominant, v.var_count)
 
 
 def schur_from_poly(p: MonomialPoly) -> SchurVector:

@@ -106,28 +106,34 @@ def test_chains_match_the_listed_sequences(bounds):
 
 
 def test_transfer_work_counts_the_transitions(monkeypatch):
-    # the chains _transfer_work sums are the (h, e) pairs the transfer walks
-    chains, steps = [], []
-    honest_chains, honest_product = lascoux._chains, lascoux.product
+    # the chains _transfer_work sums, once per run of equal columns, are the
+    # (h, e) pairs the transfer walks, and the work adds the range cells
+    steps = []
+    honest_product = lascoux.product
 
     def counted_product(*ranges):
         for e in honest_product(*ranges):
             steps.append(e)
             yield e
 
-    monkeypatch.setattr(lascoux, "_chains", lambda r: chains.append(honest_chains(r)) or chains[-1])
     monkeypatch.setattr(lascoux, "product", counted_product)
     for n in range(1, 6):
         for la in subpartitions((4, 3, 2, 1)):
             if len(la) > n:
                 continue
             for mu in subpartitions(la):
-                chains.clear()
                 steps.clear()
                 gv_count(la, mu, n)
                 a, b = _endpoints(la, mu, n)
+                columns = list(lascoux._columns(a, b))
+                chains = sum(run * _chains(ranges) for ranges, run in columns)
+                cells = sum(
+                    run * sum(hi - lo + 1 + GV_RANGE_WORK for lo, hi in ranges)
+                    for ranges, run in columns
+                )
                 work = _transfer_work(a, b)
-                assert sum(chains) == len(steps) < work <= _work_bound(a, b), (la, mu, n)
+                assert chains == len(steps) and work == chains + cells, (la, mu, n)
+                assert work <= _work_bound(a, b), (la, mu, n)
 
 
 def test_gv_is_zero_when_mu_is_not_inside_la():
@@ -164,6 +170,14 @@ def test_refusals_near_the_path_ceiling_count_no_chain(monkeypatch):
         with pytest.raises(CapacityError, match=r"more than 2,000,000 steps"):
             gv_count(la, mu, 1)
     assert [run for _, run in lascoux._columns((58_000,), (58_000,))] == [58_000, 1]
+
+
+def test_many_paths_are_refused_before_any_column_is_built(monkeypatch):
+    # 10,000 paths each read a range in every column they are active in,
+    # which passes the ceiling before a column's ranges are listed
+    monkeypatch.setattr(lascoux, "_columns", lambda a, b: pytest.fail("built a column"))
+    with pytest.raises(CapacityError, match=r"more than 2,000,000 steps"):
+        gv_count((), (), 10_000)
 
 
 def test_a_floor_at_the_ceiling_still_counts_the_chains(monkeypatch):
