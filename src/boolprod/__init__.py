@@ -38,10 +38,8 @@ from .schur import (
     MVector,
     SchurVector,
     m_to_schur,
-    mvector_expand,
     schur_at_alphabet,
     schur_from_dominant,
-    schur_from_poly,
     schur_of_graded_product,
     schur_of_product,
     schur_to_m,
@@ -55,10 +53,8 @@ from .tableaux import (
     num_syt,
     parse_partition,
     partitions_up_to,
-    smallest_ascent,
     staircase,
     subpartitions,
-    syt_list,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +93,6 @@ __all__ = [
     "kostka",
     "lascoux_check",
     "m_to_schur",
-    "mvector_expand",
     "num_syt",
     "parse_partition",
     "partitions_up_to",
@@ -106,16 +101,13 @@ __all__ = [
     "regions",
     "schur_at_alphabet",
     "schur_from_dominant",
-    "schur_from_poly",
     "schur_of_graded_product",
     "schur_of_product",
     "schur_to_m",
-    "smallest_ascent",
     "specialize_q",
     "staircase",
     "subpartitions",
     "subset_alphabet",
-    "syt_list",
     "to_mvector",
     "total_boolean",
     "valid_primes",

@@ -88,12 +88,16 @@ def a_coeffs_syt(n: int) -> dict[tuple, int]:
     """For every shape of size n, the number of SYT whose smallest ascent is even.
 
     Zero counts are included so the association covers all partitions of n.
-    The smallest ascent of a standard tableau is the length r of the run
-    1, 2, ..., r up its first column, so the tableaux with a run of at least r
-    are the standard fillings of la/1^r, and the count is the sum over r >= 2
-    of (-1)^r f^(la/1^r).  Those are paths up Young's lattice from 1^r to la,
-    one cell at a time, so one sweep up the lattice counts every shape: at
-    size r it adds (-1)^r at the column 1^r.
+    Tableaux are read in French convention, bottom row first, entries
+    increasing up each column.  Entry i < n is an ascent unless i + 1 sits in
+    a row strictly above i, and n always is: that boundary reading makes the
+    column 1^n of even size count, as the q = -1 specialisation needs.  So
+    the smallest ascent is the length r of the run 1, 2, ..., r up the first
+    column, the tableaux with a run of at least r are the standard fillings
+    of la/1^r, and the count is the sum over r >= 2 of (-1)^r f^(la/1^r).
+    Those are paths up Young's lattice from 1^r to la, one cell at a time,
+    so one sweep up the lattice counts every shape: at size r it adds
+    (-1)^r at the column 1^r.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

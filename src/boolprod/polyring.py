@@ -127,25 +127,6 @@ class MonomialPoly(Terms):
             if len(e) != var_count:
                 raise ValueError(f"exponent vector {e} has {len(e)} entries, expected {var_count}")
 
-    @classmethod
-    def constant(cls, var_count: int, c: int) -> "MonomialPoly":
-        return cls(var_count, {(0,) * var_count: c})
-
-    @classmethod
-    def from_form(cls, var_count: int, form: LinearForm) -> "MonomialPoly":
-        terms = {}
-        for i, c in enumerate(form):
-            e = [0] * var_count
-            e[i] = 1
-            terms[tuple(e)] = c
-        return cls(var_count, terms)
-
-    def __mul__(self, other: "MonomialPoly") -> "MonomialPoly":
-        return poly_product([self, other], self.var_count)
-
-    def scale(self, c: int) -> "MonomialPoly":
-        return MonomialPoly(self.var_count, {e: c * v for e, v in self.terms.items()})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

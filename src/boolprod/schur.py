@@ -4,17 +4,17 @@ One routine, ``schur_from_dominant``, reads a polynomial symmetric in each
 variable block off in the product of the blocks' Schur bases, from its
 coefficients at partitions alone: one forward pass per block places the
 rearrangements of every partition at once, merging partial placements that
-meet, and antisymmetrises them against the staircase.  ``block_schur``
-picks those coefficients out of a full polynomial after checking that it is
-invariant under a swap and a cycle of each block; ``schur_of_product`` gets
-them from the dominant coefficients of a product of linear forms, never
-built, guarded by an invariance check on the forms and a
-principal-specialisation self-check in every block;
-``schur_of_graded_product`` does so for the product of the 1 + f, whose
-degree-p part is e_p of the forms.  ``schur_to_m`` goes back through Kostka
-numbers.  ``schur_at_alphabet`` evaluates a Schur polynomial at the forms of
-an alphabet through the dual Jacobi-Trudi determinant in their e_p, taken on
-m-basis dicts by ``_m_product``, as is the Horner sum of
+meet, and antisymmetrises them against the staircase.  ``to_mvector`` picks
+those coefficients out of a full polynomial in one block after checking
+that it is invariant under a swap and a cycle of its variables, and
+``m_to_schur`` reads them off; ``schur_of_product`` gets them from the
+dominant coefficients of a product of linear forms, never built, guarded by
+an invariance check on the forms and a principal-specialisation self-check
+in every block; ``schur_of_graded_product`` does so for the product of the
+1 + f, whose degree-p part is e_p of the forms.  ``schur_to_m`` goes back
+through Kostka numbers.  ``schur_at_alphabet`` evaluates a Schur polynomial
+at the forms of an alphabet through the dual Jacobi-Trudi determinant in
+their e_p, taken on m-basis dicts by ``_m_product``, as is the Horner sum of
 ``derangements.alternating_expansion``; neither sees polyring's packed keys.
 
 A partial placement is two ints, the id of the sorted entries left to
@@ -36,7 +36,7 @@ partitions (0.65 MB).  ``_splits`` holds the split pairs of each
 from collections import Counter
 from collections.abc import Mapping
 from functools import cache
-from itertools import accumulate, combinations_with_replacement, groupby, permutations
+from itertools import accumulate, combinations_with_replacement, groupby
 from math import factorial
 from operator import ge, itemgetter
 
@@ -114,25 +114,6 @@ def _pick_dominant(terms: Mapping, cuts: list) -> dict[tuple[Partition, ...], in
     return out
 
 
-def _dominant_terms(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
-    """Check that poly is symmetric in each block, then pick the terms that
-    fix it, as _pick_dominant does."""
-    cuts = block_cuts(blocks, poly.var_count)
-    _check_symmetric(poly.terms, cuts)
-    return _pick_dominant(poly.terms, cuts)
-
-
-def block_schur(poly: MonomialPoly, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
-    """Read a polynomial symmetric in each variable block off in the product
-    of the blocks' Schur bases; a coefficient that cancels to 0 is left out.
-
-    ``blocks`` lists (size, name) pairs covering the variables in order.  The
-    polynomial must be invariant under a swap and a cycle of each block;
-    otherwise AsymmetryError names a term, its image and the block.
-    """
-    return schur_from_dominant(_dominant_terms(poly, blocks), blocks)
-
-
 def _shape(mask: int, n: int) -> Partition:
     """The partition la of at most n parts whose la + delta, delta = (n-1,
     ..., 0), has its entries at the set bits of mask: la_i is the i-th
@@ -172,9 +153,11 @@ def _steps(rid: int) -> tuple:
 def schur_from_dominant(
     dominant: Mapping[tuple[Partition, ...], int], blocks: Blocks
 ) -> dict[tuple[Partition, ...], int]:
-    """Expansion, as block_schur gives it, of the polynomial f symmetric in
-    each block whose coefficient of x^mu is dominant[mu], mu given by one
-    partition per block; a coefficient that cancels to 0 is left out.
+    """Expansion in the product of the blocks' Schur bases, keyed by one
+    partition per block, of the polynomial f symmetric in each block whose
+    coefficient of x^mu is dominant[mu], mu given the same way; a coefficient
+    that cancels to 0 is left out.  ``blocks`` lists (size, name) pairs
+    covering the variables in order.
 
     With delta = (s-1, ..., 0) in a block of size s, f * a_delta is the
     antisymmetrisation of f * x^delta, and s_la = a_(la+delta)/a_delta
@@ -228,20 +211,12 @@ def _one_block(route, arg, n: int) -> SchurVector:
 
 def to_mvector(p: MonomialPoly) -> MVector:
     """Read a symmetric polynomial off in the monomial-symmetric basis: m_la
-    has the coefficient of x^la.  The symmetry check and the pick of terms
-    are those of block_schur with one block."""
-    dominant = _dominant_terms(p, [(p.var_count, None)])
-    return MVector(p.var_count, {mu: c for (mu,), c in dominant.items()})
-
-
-def mvector_expand(v: MVector) -> MonomialPoly:
-    """Inverse of to_mvector: sum of full monomial orbits."""
-    terms: dict = {}
-    for la, c in v.terms.items():
-        padded = la + (0,) * (v.var_count - len(la))
-        for exp in set(permutations(padded)):
-            terms[exp] = c
-    return MonomialPoly(v.var_count, terms)
+    has the coefficient of x^la.  The polynomial must be invariant under a
+    swap and a cycle of its variables; otherwise AsymmetryError names a
+    term and its image."""
+    cuts = [(0, p.var_count, None)]
+    _check_symmetric(p.terms, cuts)
+    return MVector(p.var_count, {mu: c for (mu,), c in _pick_dominant(p.terms, cuts).items()})
 
 
 def schur_to_m(v: SchurVector) -> MVector:
@@ -259,11 +234,6 @@ def m_to_schur(v: MVector) -> SchurVector:
     """Unique Schur expansion of a monomial-symmetric combination."""
     dominant = {(mu,): c for mu, c in v.terms.items()}
     return _one_block(schur_from_dominant, dominant, v.var_count)
-
-
-def schur_from_poly(p: MonomialPoly) -> SchurVector:
-    """Symmetry check and Schur extraction; see block_schur."""
-    return _one_block(block_schur, p, p.var_count)
 
 
 @cache
@@ -313,8 +283,9 @@ def check_principal(
 
 
 def schur_of_product(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
-    """Expansion, as block_schur gives it, of the product of the alphabet's
-    forms, read off its dominant coefficients; the product is never built.
+    """Expansion, as schur_from_dominant gives it, of the product of the
+    alphabet's forms, read off its dominant coefficients; the product is
+    never built.
 
     The multiset of forms must be invariant under the symmetric group of
     each block, or AsymmetryError names a form and its image.  The result

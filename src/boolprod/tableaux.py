@@ -1,37 +1,25 @@
-"""Partitions, Young tableaux, Kostka numbers, and ascent combinatorics.
+"""Partitions, Kostka numbers and standard-tableau counts.
 
-Conventions used throughout the package:
-
-* A partition is a plain ``tuple[int, ...]`` with weakly decreasing positive
-  parts; ``()`` is the unique partition of 0.
-* Partitions are ordered by descending tuple comparison, which (after implicit
-  zero padding) is the reverse-lexicographic order; it linearly extends
-  dominance from greater to smaller.
-* A tableau is a ``tuple[tuple[int, ...], ...]`` of rows in French convention:
-  ``rows[0]`` is the bottom (longest) row, and columns increase strictly from
-  bottom to top.
-* Boundary ascent convention: in a standard tableau with n cells the entry n
-  always counts as an ascent.  Entry i < n is an ascent iff i+1 does NOT sit
-  in a row strictly above i.
+A partition is a plain ``tuple[int, ...]`` with weakly decreasing positive
+parts; ``()`` is the unique partition of 0.  Partitions are ordered by
+descending tuple comparison, which (after implicit zero padding) is the
+reverse-lexicographic order; it linearly extends dominance from greater to
+smaller.
 """
 
 from functools import cache
 from math import factorial
 
 Partition = tuple[int, ...]
-Tableau = tuple[tuple[int, ...], ...]
-
-
-def is_partition(parts) -> bool:
-    """True iff ``parts`` is a weakly decreasing tuple of positive integers."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
 
 
 def check_partition(parts) -> Partition:
+    """parts as a tuple; ValueError unless it is a weakly decreasing tuple of
+    positive integers."""
     parts = tuple(parts)
-    if not is_partition(parts):
+    if not all(isinstance(p, int) and p >= 1 for p in parts) or any(
+        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
+    ):
         raise ValueError(f"not a partition: {parts}")
     return parts
 
@@ -102,11 +90,6 @@ def staircase(k: int) -> Partition:
     return tuple(range(k, 0, -1))
 
 
-def contains(la: Partition, mu: Partition) -> bool:
-    """Diagram containment mu ⊆ la, componentwise after padding."""
-    return len(mu) <= len(la) and all(m <= l for m, l in zip(mu, la))
-
-
 def subpartitions(la: Partition) -> list[Partition]:
     """All partitions mu ⊆ la, in descending order."""
     out: list[Partition] = []
@@ -166,74 +149,6 @@ def kostka(la: Partition, content: tuple[int, ...]) -> int:
     for nu in _horizontal_strips_below(la, mu[-1]):
         total += kostka(nu, mu[:-1])
     return total
-
-
-def shape_of(t: Tableau) -> Partition:
-    return tuple(len(row) for row in t)
-
-
-def is_standard(t: Tableau) -> bool:
-    """Entries are exactly 1..n, rows increase rightward, columns upward."""
-    shape = shape_of(t)
-    if not is_partition(shape):
-        return False
-    n = sum(shape)
-    entries = [v for row in t for v in row]
-    if sorted(entries) != list(range(1, n + 1)):
-        return False
-    for row in t:
-        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-            return False
-    for i in range(len(t) - 1):
-        if any(t[i][j] >= t[i + 1][j] for j in range(len(t[i + 1]))):
-            return False
-    return True
-
-
-def syt_list(la: Partition) -> list[Tableau]:
-    """All standard tableaux of shape la (French rows, bottom row first).
-
-    Deterministic order: values 1..n are placed greedily, trying lower rows
-    first, so the output is lexicographic in the row-placement sequence.
-    """
-    la = check_partition(la)
-    n = sum(la)
-    if n < 1:
-        raise ValueError("syt_list needs a nonempty shape")
-    rows: list[list[int]] = [[] for _ in la]
-    out: list[Tableau] = []
-
-    def place(v):
-        if v > n:
-            out.append(tuple(tuple(row) for row in rows))
-            return
-        for i in range(len(la)):
-            # keep the partial shape a partition: row i may not catch up
-            # with the row below it
-            if len(rows[i]) < la[i] and (i == 0 or len(rows[i]) < len(rows[i - 1])):
-                rows[i].append(v)
-                place(v + 1)
-                rows[i].pop()
-
-    place(1)
-    return out
-
-
-def smallest_ascent(t: Tableau) -> int:
-    """Least entry i that is an ascent.
-
-    i < n is an ascent iff i+1 is not in a row strictly above i; the final
-    entry n is always an ascent by convention (single-column tableaux of even
-    size must contribute, which forces this boundary reading).
-    """
-    if not is_standard(t):
-        raise ValueError(f"not a standard tableau: {t}")
-    row_of = {v: i for i, row in enumerate(t) for v in row}
-    n = len(row_of)
-    for i in range(1, n):
-        if row_of[i + 1] <= row_of[i]:
-            return i
-    return n
 
 
 @cache

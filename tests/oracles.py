@@ -1,14 +1,16 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here is deliberately naive and shares no code with the package:
-tableaux are enumerated cell by cell, determinants expand over permutations,
+it imports nothing from boolprod, and test_source checks that.  Tableaux are
+enumerated cell by cell, standard tableaux listed one at a time with their
+smallest ascents read off the rows, determinants expand over permutations,
 path families are walked one lattice point at a time, products of linear
-forms pick one variable per factor, and point counts loop over whole vector
-spaces.  Slow but obviously correct
-at the sizes the tests use.  Two are the package's earlier routines, kept
-as slow references for the ones that replaced them: the point count that
-popcounts its last coordinate, and the lattice of flats closed by echelon
-reduction against every hyperplane.
+forms pick one variable per factor, m-basis vectors expand into every
+rearrangement of each partition, and point counts loop over whole vector
+spaces.  Slow but obviously correct at the sizes the tests use.  Two are
+the package's earlier routines, kept as slow references for the ones that
+replaced them: the point count that popcounts its last coordinate, and the
+lattice of flats closed by echelon reduction against every hyperplane.
 """
 
 from collections import Counter
@@ -64,6 +66,76 @@ def schur_poly_direct(shape, var_count):
         exps = tuple(seen.get(i + 1, 0) for i in range(var_count))
         out[exps] = out.get(exps, 0) + 1
     return out
+
+
+def mvector_expand(terms, var_count):
+    """The polynomial sum c * m_la over the partition -> c pairs of terms, as
+    a raw exponent-vector dict: every rearrangement of each padded la."""
+    out = {}
+    for la, c in terms.items():
+        if c:
+            padded = tuple(la) + (0,) * (var_count - len(la))
+            for exps in set(permutations(padded)):
+                out[exps] = c
+    return out
+
+
+def is_standard(rows):
+    """A tableau, rows of entries bottom row first, is standard: its row
+    lengths weakly decrease, it holds 1..n once each, rows increase
+    rightward and columns upward."""
+    shape = [len(row) for row in rows]
+    if any(not size or size < above for size, above in zip(shape, shape[1:] + [0])):
+        return False
+    entries = sorted(v for row in rows for v in row)
+    if entries != list(range(1, len(entries) + 1)):
+        return False
+    if any(row[j] >= row[j + 1] for row in rows for j in range(len(row) - 1)):
+        return False
+    return all(
+        below[j] < above[j] for below, above in zip(rows, rows[1:]) for j in range(len(above))
+    )
+
+
+def syt_list(shape):
+    """All standard tableaux of a nonempty shape, in French convention:
+    rows[0] is the bottom (longest) row.  Values 1..n are placed one at a
+    time, lower rows first, so the list is lexicographic in the row each
+    value goes to."""
+    n = sum(shape)
+    if n < 1:
+        raise ValueError("syt_list needs a nonempty shape")
+    rows = [[] for _ in shape]
+    out = []
+
+    def place(v):
+        if v > n:
+            out.append(tuple(tuple(row) for row in rows))
+            return
+        for i, size in enumerate(shape):
+            # the partial shape stays a partition: no row catches up with
+            # the row below it
+            if len(rows[i]) < size and (i == 0 or len(rows[i]) < len(rows[i - 1])):
+                rows[i].append(v)
+                place(v + 1)
+                rows[i].pop()
+
+    place(1)
+    return out
+
+
+def smallest_ascent(rows):
+    """Least ascent of a standard tableau.  Entry i < n is an ascent unless
+    i + 1 sits in a row strictly above i; n always is, so that the column
+    of even size counts."""
+    if not is_standard(rows):
+        raise ValueError(f"not a standard tableau: {rows}")
+    row_of = {v: i for i, row in enumerate(rows) for v in row}
+    n = len(row_of)
+    for i in range(1, n):
+        if row_of[i + 1] <= row_of[i]:
+            return i
+    return n
 
 
 def expand_forms(forms, var_count):

@@ -10,9 +10,17 @@ from boolprod.bialphabet import BiSchurVector, dual_cauchy_reference, pjk_expand
 from boolprod.boolean import boolean_product
 from boolprod.cli import main
 from boolprod.errors import AsymmetryError, CapacityError
-from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product
-from boolprod.schur import block_schur
+from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product, block_cuts
+from boolprod.schur import _check_symmetric, _pick_dominant, schur_from_dominant
 from oracles import schur_poly_direct
+
+
+def block_schur(poly, blocks):
+    """The read-off of a full polynomial symmetric in each block: its
+    symmetry checked, its dominant terms picked, then schur_from_dominant."""
+    cuts = block_cuts(blocks, poly.var_count)
+    _check_symmetric(poly.terms, cuts)
+    return schur_from_dominant(_pick_dominant(poly.terms, cuts), blocks)
 
 
 def test_bischur_vector_basics():

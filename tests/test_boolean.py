@@ -17,12 +17,14 @@ from boolprod.polyring import (
     alphabet_product,
     check_fold_capacity,
     graded_elementary,
+    poly_product,
 )
 from boolprod.bialphabet import pjk_expand
 from boolprod.derangements import bnm1_q
 from boolprod.lascoux import lascoux_check
-from boolprod.schur import mvector_expand, schur_from_poly, schur_to_m, to_mvector
+from boolprod.schur import m_to_schur, schur_to_m, to_mvector
 from boolprod.tableaux import staircase
+from oracles import expand_forms, mvector_expand
 
 
 def test_subset_alphabet_forms():
@@ -122,11 +124,8 @@ def test_total_chern_consistency():
         total = MonomialPoly(n)
         for piece in graded_elementary(a):
             total = total + piece
-        ones = [MonomialPoly.constant(n, 1) + MonomialPoly.from_form(n, f) for f in a.forms]
-        product = ones[0]
-        for q in ones[1:]:
-            product = product * q
-        assert total == product
+        ones = [MonomialPoly(n, {(0,) * n: 1, **expand_forms([f], n)}) for f in a.forms]
+        assert total == poly_product(ones, n)
 
 
 def test_total_boolean_small():
@@ -140,14 +139,12 @@ def test_total_boolean_two_routes():
     factor_polys = [
         alphabet_product(subset_alphabet(3, k)) for k in (1, 2, 3)
     ]
-    via_schur = factor_polys[0]
-    for q in factor_polys[1:]:
-        via_schur = via_schur * q
-    assert schur_from_poly(via_schur).terms == direct.terms
+    via_schur = poly_product(factor_polys, 3)
+    assert m_to_schur(to_mvector(via_schur)).terms == direct.terms
     # and the factors really are s_(1,1,1), s_(2,1), s_(1)
-    assert schur_from_poly(factor_polys[0]).terms == {(1, 1, 1): 1}
-    assert schur_from_poly(factor_polys[1]).terms == {(2, 1): 1}
-    assert schur_from_poly(factor_polys[2]).terms == {(1,): 1}
+    assert m_to_schur(to_mvector(factor_polys[0])).terms == {(1, 1, 1): 1}
+    assert m_to_schur(to_mvector(factor_polys[1])).terms == {(2, 1): 1}
+    assert m_to_schur(to_mvector(factor_polys[2])).terms == {(1,): 1}
 
 
 def test_total_boolean_degree_and_positivity():
@@ -184,11 +181,11 @@ def test_fold_ceiling_refuses_before_the_forms_are_built(monkeypatch):
 def test_root_only_products_match_the_full_product():
     cases = [(n, k) for n in range(1, 7) for k in range(1, n + 1)] + [(7, 2), (7, 6)]
     for n, k in cases:
-        full = schur_from_poly(alphabet_product(subset_alphabet(n, k)))
+        full = m_to_schur(to_mvector(alphabet_product(subset_alphabet(n, k))))
         assert boolean_product(n, k).terms == full.terms, (n, k)
     for n in range(1, 5):
         subsets = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
-        full = schur_from_poly(alphabet_product(Alphabet.from_subsets(n, subsets)))
+        full = m_to_schur(to_mvector(alphabet_product(Alphabet.from_subsets(n, subsets))))
         assert total_boolean(n).terms == full.terms, n
 
 
@@ -196,7 +193,7 @@ def test_root_only_slices_match_the_full_product():
     cases = [(n, k) for n in range(1, 6) for k in range(1, n + 1)] + [(6, 2), (6, 5)]
     for n, k in cases:
         for p, piece in enumerate(graded_elementary(subset_alphabet(n, k))):
-            assert ep_subset(n, k, p).terms == schur_from_poly(piece).terms, (n, k, p)
+            assert ep_subset(n, k, p).terms == m_to_schur(to_mvector(piece)).terms, (n, k, p)
 
 
 def test_root_only_products_never_build_the_full_product(monkeypatch):
@@ -207,8 +204,7 @@ def test_root_only_products_never_build_the_full_product(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("boolprod"):
-            for attr in ("alphabet_product", "poly_product", "mvector_expand",
-                         "graded_elementary", "block_schur"):
+            for attr in ("alphabet_product", "poly_product", "graded_elementary", "to_mvector"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     # a cached slice would skip the read-off
@@ -244,6 +240,7 @@ def test_schur_product_reconversion_route():
     # multiply two expansions in monomial space and reconvert: B_{3,1} * B_{3,2}
     left = alphabet_product(subset_alphabet(3, 1))
     right = alphabet_product(subset_alphabet(3, 2))
-    combined = schur_from_poly(left * right)
-    expanded = mvector_expand(schur_to_m(combined))
-    assert to_mvector(expanded).terms == to_mvector(left * right).terms
+    product = poly_product([left, right], 3)
+    combined = m_to_schur(to_mvector(product))
+    expanded = MonomialPoly(3, mvector_expand(schur_to_m(combined).terms, 3))
+    assert to_mvector(expanded).terms == to_mvector(product).terms

@@ -19,10 +19,10 @@ from boolprod.derangements import (
     specialize_q,
 )
 from boolprod.errors import CapacityError, ConsistencyError
-from boolprod.polyring import MonomialPoly
-from boolprod.schur import SchurVector, schur_from_poly
-from boolprod.tableaux import partitions_up_to, smallest_ascent, syt_list
-from oracles import derangement_number
+from boolprod.polyring import MonomialPoly, poly_product
+from boolprod.schur import SchurVector, m_to_schur, to_mvector
+from boolprod.tableaux import partitions_up_to
+from oracles import derangement_number, smallest_ascent, syt_list
 
 
 def test_qpoly_trims_trailing_zeros():
@@ -162,10 +162,8 @@ def test_bnm1_q_layers_match_the_full_products():
         ]
         got = {la: c.coeffs + (0,) * (n + 1 - len(c.coeffs)) for la, c in bnm1_q(n).terms.items()}
         for j in range(n + 1):
-            layer = e[j]
-            for _ in range(n - j):
-                layer = layer * e[1]
-            want = schur_from_poly(layer).terms
+            layer = poly_product([e[j]] + [e[1]] * (n - j), n)
+            want = m_to_schur(to_mvector(layer)).terms
             assert {la: c[j] for la, c in got.items() if c[j]} == want
 
 

@@ -11,8 +11,8 @@ from boolprod.boolean import boolean_product, ep_subset, subset_alphabet
 from boolprod.derangements import alternating_expansion, bnm1_q
 from boolprod.errors import AsymmetryError, CapacityError, ConsistencyError
 from boolprod.lascoux import lascoux_check
-from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product, graded_elementary
-from boolprod.polyring import poly_product
+from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product, block_cuts
+from boolprod.polyring import graded_elementary, poly_product
 from boolprod import polyring, schur
 from boolprod.schur import (
     MVector,
@@ -20,27 +20,37 @@ from boolprod.schur import (
     _m_product,
     _shape,
     _splits,
-    block_schur,
     check_principal,
     check_schur_at_capacity,
     m_to_schur,
-    mvector_expand,
     schur_at_alphabet,
     schur_from_dominant,
-    schur_from_poly,
     schur_of_graded_product,
     schur_of_product,
     schur_to_m,
     to_mvector,
 )
 from boolprod.tableaux import conjugate, kostka, partitions_up_to
-from oracles import expand_forms, schur_poly_direct, ssyt_fillings
+from oracles import expand_forms, mvector_expand, schur_poly_direct, ssyt_fillings
+
+
+def block_schur(poly, blocks):
+    """The read-off of a full polynomial symmetric in each block: its
+    symmetry checked, its dominant terms picked, then schur_from_dominant."""
+    cuts = block_cuts(blocks, poly.var_count)
+    schur._check_symmetric(poly.terms, cuts)
+    return schur_from_dominant(schur._pick_dominant(poly.terms, cuts), blocks)
+
+
+def expanded(v):
+    """The MVector v as the full polynomial it stands for."""
+    return MonomialPoly(v.var_count, mvector_expand(v.terms, v.var_count))
 
 
 def test_to_mvector_known_values():
     p = MonomialPoly(2, {(2, 0): 1, (0, 2): 1, (1, 1): 3})
     assert to_mvector(p).terms == {(2,): 1, (1, 1): 3}
-    assert to_mvector(MonomialPoly.constant(3, 7)).terms == {(): 7}
+    assert to_mvector(MonomialPoly(3, {(0, 0, 0): 7})).terms == {(): 7}
 
 
 def test_to_mvector_witness():
@@ -61,7 +71,7 @@ def test_schur_from_poly_rejects_an_incomplete_orbit():
     # x1^2*x2 + 5*x1*x2*x3 passes every sorted-representative comparison
     p = MonomialPoly(3, {(2, 1, 0): 1, (1, 1, 1): 5})
     with pytest.raises(AsymmetryError) as err:
-        schur_from_poly(p)
+        m_to_schur(to_mvector(p))
     present, absent = err.value.witness
     assert present in p.terms and absent not in p.terms
     assert sorted(present) == sorted(absent)
@@ -79,7 +89,7 @@ def test_schur_from_poly_rejects_an_incomplete_orbit():
 def test_schur_from_poly_rejects_a_one_generator_invariant(terms):
     p = MonomialPoly(3, terms)
     with pytest.raises(AsymmetryError) as err:
-        schur_from_poly(p)
+        m_to_schur(to_mvector(p))
     assert err.value.block is None
     present, image = err.value.witness
     assert present in p.terms
@@ -93,7 +103,7 @@ def test_schur_vector_sum_drops_cancelled_terms():
 
 def test_mvector_expand_inverts_extraction():
     v = MVector(3, {(2, 1): 4, (1, 1, 1): 7, (): 2})
-    assert to_mvector(mvector_expand(v)).terms == v.terms
+    assert to_mvector(expanded(v)).terms == v.terms
 
 
 def test_m_to_schur_known_values():
@@ -381,8 +391,7 @@ def test_schur_polynomial_matches_ssyt_sum():
                 got = schur_at_alphabet(la, singletons)
                 assert got.terms == {la: 1}
                 direct = schur_poly_direct(la, var_count)
-                expanded = mvector_expand(schur_to_m(got))
-                assert expanded.terms == direct
+                assert mvector_expand(schur_to_m(got).terms, var_count) == direct
 
 
 def test_schur_at_alphabet_example():
@@ -410,7 +419,7 @@ def test_schur_at_alphabet_of_signed_forms_matches_the_tableau_sum(seeds):
                 cells = [forms[v - 1] for row in filling for v in row]
                 for e, c in expand_forms(cells, n).items():
                     terms[e] = terms.get(e, 0) + c
-            assert schur_at_alphabet(la, a) == schur_from_poly(MonomialPoly(n, terms)), la
+            assert schur_at_alphabet(la, a) == m_to_schur(to_mvector(MonomialPoly(n, terms))), la
 
 
 @settings(deadline=None)
@@ -421,7 +430,7 @@ def test_the_m_basis_product_matches_the_full_product(data):
     coeff = st.integers(min_value=-3, max_value=3)
     p = {mu: data.draw(coeff) for mu in partitions_up_to(dp, n)}
     q = {mu: data.draw(coeff) for mu in partitions_up_to(dq, n)}
-    full = poly_product([mvector_expand(MVector(n, p)), mvector_expand(MVector(n, q))], n)
+    full = poly_product([expanded(MVector(n, p)), expanded(MVector(n, q))], n)
     assert MVector(n, _m_product(p, dp, q, dq, n)).terms == to_mvector(full).terms
 
 
@@ -498,19 +507,19 @@ def test_schur_at_refuses_long_first_rows_and_large_determinants():
 
 def dense_schur_at(la, a):
     """s_la(A) by the dual Jacobi-Trudi determinant expanded over every
-    permutation, on graded_elementary's full polynomials, read off by
-    schur_from_poly."""
+    permutation, on graded_elementary's full polynomials, read off through
+    the m basis."""
     n, laconj = a.var_count, conjugate(la)
     es = graded_elementary(a)
     total = MonomialPoly(n)
     for perm in permutations(range(len(laconj))):
         inversions = sum(x > y for i, x in enumerate(perm) for y in perm[i + 1 :])
-        term = MonomialPoly.constant(n, (-1) ** inversions)
+        factors = [MonomialPoly(n, {(0,) * n: (-1) ** inversions})]
         for i, j in enumerate(perm):
             p = laconj[i] - i + j
-            term = term * es[p] if 0 <= p < len(es) else MonomialPoly(n)
-        total = total + term
-    return schur_from_poly(total)
+            factors.append(es[p] if 0 <= p < len(es) else MonomialPoly(n))
+        total = total + poly_product(factors, n)
+    return m_to_schur(to_mvector(total))
 
 
 def test_schur_at_alphabet_matches_the_dense_determinant():
@@ -550,8 +559,7 @@ def test_schur_at_and_the_alternating_sum_build_no_full_polynomial(monkeypatch):
     def refuse(*args):
         raise AssertionError("a full polynomial was read off")
 
-    monkeypatch.setattr(schur, "schur_from_poly", refuse)
-    monkeypatch.setattr(schur, "block_schur", refuse)
+    monkeypatch.setattr(schur, "to_mvector", refuse)
     assert schur_at_alphabet((2, 1), subset_alphabet(3, 2)).terms == {
         (3,): 2, (2, 1): 5, (1, 1, 1): 4
     }
@@ -591,7 +599,7 @@ def test_production_paths_leave_the_kostka_memo_empty():
 
 def test_schur_from_poly_inhomogeneous():
     p = MonomialPoly(2, {(0, 0): 3, (1, 0): 2, (0, 1): 2, (1, 1): 1})
-    assert schur_from_poly(p).terms == {(): 3, (1,): 2, (1, 1): 1}
+    assert m_to_schur(to_mvector(p)).terms == {(): 3, (1,): 2, (1, 1): 1}
 
 
 @st.composite
@@ -610,7 +618,7 @@ def mvector_strategy(draw, min_vars=1):
 @given(mvector_strategy())
 def test_round_trip_property(v):
     assert schur_to_m(m_to_schur(v)).terms == v.terms
-    assert schur_to_m(schur_from_poly(mvector_expand(v))).terms == v.terms
+    assert schur_to_m(m_to_schur(to_mvector(expanded(v)))).terms == v.terms
 
 
 def test_an_asymmetric_alphabet_is_refused():
@@ -757,13 +765,13 @@ def test_root_only_matches_the_full_product(case):
 @settings(deadline=None)
 @given(mvector_strategy())
 def test_expand_then_extract(v):
-    assert to_mvector(mvector_expand(v)).terms == v.terms
+    assert to_mvector(expanded(v)).terms == v.terms
 
 
 @settings(deadline=None)
 @given(mvector_strategy(min_vars=2), st.data())
 def test_a_changed_coefficient_is_rejected(v, data):
-    terms = dict(mvector_expand(v).terms)
+    terms = mvector_expand(v.terms, v.var_count)
     fresh = st.lists(
         st.integers(min_value=0, max_value=3), min_size=v.var_count, max_size=v.var_count
     ).map(tuple)

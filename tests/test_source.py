@@ -1,4 +1,5 @@
 import ast
+import importlib
 import importlib.util
 import os
 import subprocess
@@ -35,3 +36,26 @@ def test_cli_import_loads_the_traced_modules_and_no_dataclasses():
     loaded = set(done.stdout.split())
     assert not {"dataclasses", "inspect"} & loaded
     assert {f"boolprod.{name}" for name in spans.TRACED} <= loaded
+    # the worker rebinds each traced name with getattr on its module
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in spans.TRACED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"boolprod.{layer}"), name, None))
+    ]
+    assert not missing, missing
+
+
+def test_the_oracles_import_nothing_from_the_package():
+    # tests/oracles.py is the independent side of every cross-check
+    path = Path(__file__).with_name("oracles.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == "boolprod"]
+    assert not found, found

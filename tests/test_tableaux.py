@@ -7,17 +7,14 @@ from boolprod.tableaux import (
     conjugate,
     dominance_leq,
     format_partition,
-    is_standard,
     kostka,
     num_syt,
     parse_partition,
     partitions_up_to,
-    smallest_ascent,
     staircase,
     subpartitions,
-    syt_list,
 )
-from oracles import brute_partitions, ssyt_count
+from oracles import brute_partitions, is_standard, smallest_ascent, ssyt_count, syt_list
 
 
 @st.composite
