@@ -18,7 +18,7 @@ from .polyring import Alphabet, QPoly, check_fold_capacity
 from .schur import MVector, SchurVector, _m_product, m_to_schur, schur_of_product
 from .tableaux import num_syt, partitions_up_to
 
-# n=21 sums and reads off in 1.0-1.5 s at 59 MB and n=22 in 2.1-2.2 s at 74 MB, as fresh
+# n=21 sums and reads off in 1.1-1.6 s at 56 MB and n=22 in 1.4-2.2 s at 72 MB, as fresh
 # processes on a shared 2-core host; n=22 would pass the time and memory the cap has allowed.
 ALTERNATING_MAX_N = 21
 SYT_COEFF_MAX_N = 32  # n=32 sweeps 43,818 shapes in 0.26 s at 17 MB, as n=11 walked its tableaux before

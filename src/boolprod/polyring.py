@@ -16,19 +16,19 @@ and takes one dot product per mu.  It takes none for a mu that no choice of
 one variable per form can reach: each form gives its degree to one variable
 it contains, so the first j variables of a block carry no more degree than
 there are forms touching them (Hall's marriage condition, P. Hall 1935).
+The keys are walked afresh for each product, part by part inside those
+caps, so the module keeps no table between calls.
 ``alphabet_product`` and ``graded_elementary`` build full products, for
 callers that need every monomial and for tests.
 ``QPoly`` is the dense univariate type, trimmed of trailing zeros.
 """
 
-from collections.abc import Iterable
-from functools import cache
+from collections.abc import Iterable, Iterator
 from itertools import accumulate
-from operator import le
 
 from .errors import CapacityError
 from .record import FrozenRecord, Terms
-from .tableaux import Partition, partitions_up_to
+from .tableaux import Partition
 
 # A linear form is its coefficient vector over the ambient variables,
 # e.g. x2 + x3 in 3 variables is (0, 1, 1).
@@ -183,10 +183,10 @@ def graded_elementary(a: Alphabet, cap: int | None = None) -> list[MonomialPoly]
 # Ceiling on every running fold, which _fold checks after each factor, and on
 # the larger fold of dominant_coefficients counted as every monomial of its
 # degree, which a fold of forms in few variables nearly fills.
-# Measured as CLI runs on a shared 2-core host: boolean-expand (7,4), at
-# 593,775, takes 11-12 s and 145 MB, and (8,6), at 657,800, about 9.5 s and
-# 163 MB; the total product at n = 6 (1,533,939) and (8,3) (45,379,620) are
-# refused.
+# Measured as three fresh CLI runs each on a shared 2-core host: boolean-expand
+# (7,4), at 593,775, takes 6.6-8.8 s and 145 MB, and (8,6), at 657,800,
+# 6.1-6.7 s and 163 MB; the total product at n = 6 (1,533,939) and (8,3)
+# (45,379,620) are refused.
 FOLD_MAX_MONOMIALS = 1_000_000
 
 
@@ -246,51 +246,46 @@ def block_cuts(blocks: Blocks, var_count: int) -> list:
     return cuts
 
 
-@cache
-def _packed_partitions(e: int, lo: int, size: int, width: int) -> list:
-    """(mu, mu packed from field lo) for each partition mu of e in size parts at most."""
-    return [
-        (mu, sum(part << (width * i) for i, part in enumerate(mu, lo)))
-        for mu in partitions_up_to(e, size)
-    ]
-
-
-@cache
-def _capped_partitions(e: int, lo: int, size: int, width: int, caps: tuple) -> list:
-    """The entries of _packed_partitions(e, lo, size, width) whose mu has
-    mu_1 + ... + mu_j <= caps[j - 1] for every j; the same list when no cap
-    can bind, as every sum is at most e."""
-    parts = _packed_partitions(e, lo, size, width)
-    if caps and e > caps[0]:
-        return [(mu, packed) for mu, packed in parts if all(map(le, accumulate(mu), caps))]
-    return parts
-
-
-def _dominant_keys(a: Alphabet, cuts: list, width: int) -> list:
-    """(key, packed mu, 0) for each key of dominant_coefficients that meets
-    the caps: mu_1 + ... + mu_j <= N_b(j) in every block b, N_b(j) being the
+def _dominant_keys(a: Alphabet, cuts: list, width: int) -> Iterator[tuple]:
+    """(key, packed mu) for each key of dominant_coefficients that meets the
+    caps: mu_1 + ... + mu_j <= N_b(j) in every block b, N_b(j) being the
     number of forms with a nonzero coefficient among its first j variables.
     A monomial of the product picks one variable with a nonzero coefficient
     from each form, so one past a cap has coefficient 0 whatever the forms'
-    signs; every other key is kept."""
-    # (key, packed mu, size left) for every choice in the blocks so far
-    keys = [((), 0, len(a.forms))]
-    for b, (lo, hi, _) in enumerate(cuts):
+    signs; every other key is kept.
+
+    One walk yields them, block by block and part by part, largest part
+    first.  A part never takes its block's prefix sum past the cap; in the
+    last block no part is too small for the degree left to fit in the slots
+    left, and the block ends only once the degree is spent."""
+    caps = []
+    for lo, hi, _ in cuts:
         firsts = [0] * (hi - lo)  # forms by their first variable in the block
         for f in a.forms:
             for i in range(lo, hi):
                 if f[i]:
                     firsts[i - lo] += 1
                     break
-        caps = tuple(accumulate(firsts))
-        last = b == len(cuts) - 1
-        keys = [
-            (key + (mu,), top + packed, left - e)
-            for key, top, left in keys
-            for e in ((left,) if last else range(left + 1))
-            for mu, packed in _capped_partitions(e, lo, hi - lo, width, caps)
-        ]
-    return keys
+        caps.append(list(accumulate(firsts)))
+    last = len(cuts) - 1
+
+    def walk(b: int, key: tuple, mu: tuple, packed: int, left: int):
+        # mu: block b's parts so far; left: the degree not yet placed
+        if b < last:
+            yield from walk(b + 1, key + (mu,), (), packed, left)
+        elif not left:
+            yield key + (mu,), packed
+            return
+        lo, hi, _ = cuts[b]
+        j = len(mu)
+        if j == hi - lo:
+            return
+        top = min(mu[-1] if mu else left, left, caps[b][j] - sum(mu))
+        least = 1 if b < last else -(-left // (hi - lo - j))
+        for part in range(top, least - 1, -1):
+            yield from walk(b, key, mu + (part,), packed + (part << width * (lo + j)), left - part)
+
+    return walk(0, (), (), 0, len(a.forms))
 
 
 def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
@@ -315,7 +310,7 @@ def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, 
     big = _fold(_pack_form(f, width) for f in a.forms[cut:])
     get = big.get
     out: dict[tuple[Partition, ...], int] = {}
-    for key, packed, _ in _dominant_keys(a, cuts, width):
+    for key, packed in _dominant_keys(a, cuts, width):
         top = packed | guard
         total = 0
         for alpha, c in small:

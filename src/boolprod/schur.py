@@ -23,12 +23,10 @@ is written straight into the block's result, the one place zero sums are
 dropped.  Shape work that does not depend on the product is shared by every
 read-off in the process: ``_REST_IDS`` interns each sorted tuple of entries
 left to place to an id, ``_RESTS`` maps the id back and ``_STEPS`` holds its
-moves, and ``polyring._packed_partitions`` a block's packed partitions, keyed
-by (degree, first field, block size, field width).  After
-``boolean_product(7, 4)`` they hold 32,149 tuples (about 17.5 MB) and 3,539
-partitions (0.65 MB).  ``_splits`` holds the split pairs of each
-(mu, e) an m-basis product meets, each partition stored once in
-``_SPLIT_PARTS``: 1,596 entries (about 0.5 MB) after
+moves: 32,149 tuples (about 17.5 MB) after ``boolean_product(7, 4)``.  The
+dominant keys are walked per product and not kept.  ``_splits`` holds the
+split pairs of each (mu, e) an m-basis product meets, each partition stored
+once in ``_SPLIT_PARTS``: 1,596 entries (about 0.5 MB) after
 ``alternating_expansion(18)`` and 4,539 (6.6 MB) after s_(6,6,6) of the
 (7,3) alphabet.
 """
@@ -394,14 +392,14 @@ def _poly_det(es: list[dict], base: list[int], n: int) -> dict:
 # the hook of la's first cell (at most |A|).  The partitions of |la| in at
 # most n parts, over which its determinant's last products run.  And the
 # determinant's size: la_1 rows, each reading e_p up to p = h, times those
-# partitions.  Measured as CLI runs of schur-at on a shared 2-core host whose
-# speed moved by up to 1.6x: --lambda 400 --n 1 --k 1 takes 4.0 s, and 500
-# 5.9-7.3 s; --lambda 16 --n 7 --k 3 (35 forms times C(22,6), 2,611,455;
-# size 41,984) 4.9-7.3 s at 86 MB; --lambda 13,12 --n 5 --k 2 (377
-# partitions; size 49,010) 5.4-9.7 s at 71 MB and --lambda 10,10 --n 7 --k 3
-# (364; 40,040) 3.9-8.6 s at 52 MB.  Past the size ceiling, --lambda 300 --n
-# 2 --k 1 (90,600) took 8.7 s and --lambda 22 --n 6 --k 3 (172,040) 20.5 s;
-# at or just under it, no case tried took more than 6.5 s.
+# partitions.  Measured as three fresh CLI runs each of schur-at on a shared
+# 2-core host whose speed moved by up to 1.5x: --lambda 400 --n 1 --k 1 takes
+# 2.4-2.9 s, and 500 took 5.9-7.3 s; --lambda 16 --n 7 --k 3 (35 forms times
+# C(22,6), 2,611,455; size 41,984) 5.6-6.9 s at 86 MB; --lambda 13,12 --n 5
+# --k 2 (377 partitions; size 49,010) 6.6-7.0 s at 72 MB and --lambda 10,10
+# --n 7 --k 3 (364; 40,040) 4.7-5.2 s at 52 MB.  Past the size ceiling,
+# --lambda 300 --n 2 --k 1 (90,600) took 8.7 s and --lambda 22 --n 6 --k 3
+# (172,040) 20.5 s; below it, no case tried took more than 7.0 s.
 SCHUR_AT_MAX_ROWS = 400
 SCHUR_AT_MAX_WORK = 3_000_000
 SCHUR_AT_MAX_PARTITIONS = 400

@@ -175,14 +175,44 @@ def test_dominant_keys_meet_the_caps():
     # 59 of the 436 partitions of 21 in at most 7 parts can occur
     a = Alphabet.from_subsets(7, combinations(range(7), 2))
     width = len(a).bit_length() + 1
-    keys = _dominant_keys(a, block_cuts([(7, None)], 7), width)
+    keys = list(_dominant_keys(a, block_cuts([(7, None)], 7), width))
     assert len(partitions_up_to(21, 7)) == 436 and len(keys) == 59
-    assert all(key[0][0] <= 6 and sum(key[0][:2]) <= 11 for key, _, _ in keys)
+    assert all(key[0][0] <= 6 and sum(key[0][:2]) <= 11 for key, _ in keys)
     # a zero form touches no variable: the one-variable block x1 and the
     # block x2, x3 each meet two of the four forms, so each holds degree 2
     a = Alphabet(3, ((1, 0, 0), (0, 0, 0), (1, 1, 0), (0, 1, 1)))
     keys = _dominant_keys(a, block_cuts([(1, "t"), (2, None)], 3), 4)
-    assert [key for key, _, _ in keys] == [((2,), (2,)), ((2,), (1, 1))]
+    assert [key for key, _ in keys] == [((2,), (2,)), ((2,), (1, 1))]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_dominant_keys_are_the_capped_partitions_of_each_block(data):
+    # the reference lists every partition of each degree in a block's size
+    # parts at most, keeps those whose prefix sums meet the block's caps and
+    # packs each from the block's first field
+    sizes = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
+    n = sum(sizes)
+    coeff = st.integers(min_value=-1, max_value=2)
+    forms = tuple(data.draw(st.lists(st.tuples(*[coeff] * n), max_size=6)))
+    a = Alphabet(n, forms)
+    width = len(forms).bit_length() + 1
+    # (key, packed mu, degree) over the blocks so far
+    want = [((), 0, 0)]
+    lo = 0
+    for size in sizes:
+        caps = [sum(any(f[lo : lo + j]) for f in forms) for j in range(1, size + 1)]
+        parts = [
+            (mu, sum(part << width * i for i, part in enumerate(mu, lo)), e)
+            for e in range(len(forms) + 1)
+            for mu in partitions_up_to(e, size)
+            if all(sum(mu[:j]) <= cap for j, cap in enumerate(caps, 1))
+        ]
+        want = [(key + (mu,), top + packed, d + e) for key, top, d in want for mu, packed, e in parts]
+        lo += size
+    want = {(key, packed) for key, packed, d in want if d == len(forms)}
+    got = list(_dominant_keys(a, block_cuts([(size, None) for size in sizes], n), width))
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 def test_packed_fields_hold_a_degree_past_seven_bits():

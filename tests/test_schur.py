@@ -13,7 +13,7 @@ from boolprod.errors import AsymmetryError, CapacityError, ConsistencyError
 from boolprod.lascoux import lascoux_check
 from boolprod.polyring import Alphabet, MonomialPoly, alphabet_product, block_cuts
 from boolprod.polyring import graded_elementary, poly_product
-from boolprod import polyring, schur
+from boolprod import schur
 from boolprod.schur import (
     MVector,
     SchurVector,
@@ -365,8 +365,6 @@ def test_the_shared_tables_do_not_change_results_in_either_order():
         schur._STEPS.clear()
         schur._splits.cache_clear()
         schur._SPLIT_PARTS.clear()
-        polyring._packed_partitions.cache_clear()
-        polyring._capped_partitions.cache_clear()
 
     clear()
     forward = [product() for product in products]

@@ -19,6 +19,51 @@ def test_no_bare_assert_in_the_package():
     assert not found, found
 
 
+def _decorator_name(node) -> str:
+    """The name a decorator ends in: cache for @cache and @functools.cache,
+    lru_cache for @lru_cache(maxsize=None)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "attr", getattr(node, "id", ""))
+
+
+def test_the_process_wide_tables_are_the_documented_ones():
+    # every memo or module-level table outlives the call that fills it, so
+    # the list the docs give of them must be the whole list
+    found = set()
+    for path in sorted(Path(boolprod.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _decorator_name(d) in ("cache", "lru_cache") for d in node.decorator_list
+            ):
+                found.add(f"{path.stem}.{node.name}")
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            empty = (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, ast.List) and not value.elts
+            )
+            for target in targets:
+                name = getattr(target, "id", "")
+                if empty and name.startswith("_") and name.isupper():
+                    found.add(f"{path.stem}.{name}")
+    assert found == {
+        "boolean._graded_subset_terms",
+        "schur._REST_IDS",
+        "schur._RESTS",
+        "schur._STEPS",
+        "schur._principal_at_two",
+        "schur._splits",
+        "schur._SPLIT_PARTS",
+        "tableaux.kostka",
+        "tableaux.num_syt",
+    }
+
+
 def test_cli_import_loads_the_traced_modules_and_no_dataclasses():
     # The benchmark worker reads every traced module from sys.modules right
     # after importing boolprod.cli, so none of them may be imported lazily;
