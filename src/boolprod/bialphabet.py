@@ -12,15 +12,10 @@ any polynomial arithmetic.
 from itertools import combinations
 
 from .errors import CapacityError, ConsistencyError
-from .polyring import Alphabet, capped_comb, figure
+from .polyring import FOLD_MAX_MONOMIALS, Alphabet, _lazy, capped_comb, figure
 from .record import Terms
 from .schur import schur_of_product
 from .tableaux import Partition, conjugate, subpartitions
-
-# Sparse forms would fail the dense fold count, so only _fold bounds their real fold.
-# As CLI runs on a shared 2-core host, j = k = 1 at n = 6, m = 5 takes 1.1-1.7 s at 37 MB,
-# and (2, 6, 1, 2) 8-9 s at 81 MB, most of it the dots of dominant_coefficients.
-PJK_FORM_CAP = 30
 
 PartitionPair = tuple[Partition, Partition]
 
@@ -41,9 +36,9 @@ def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
     """Expand the product of all X_S + Y_T with |S| = j, |T| = k.
 
     The product is read off in Schur pairs by schur_of_product, with the x
-    variables as one block and the y variables as the other.  Negative
-    output coefficients would contradict the positivity this product is
-    known to have, so they are a hard failure.
+    variables as one block and the y variables as the other, under the
+    ceilings dominant_coefficients counts.  Negative output coefficients
+    would contradict its known positivity, so they are a hard failure.
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
@@ -51,15 +46,8 @@ def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
     if n == 0 and m == 0:
         raise ValueError("need at least one variable")
-    form_count = capped_comb(n, j) * capped_comb(m, k)
-    if form_count > PJK_FORM_CAP:
-        raise CapacityError(
-            f"product of {figure(form_count, '')} forms exceeds the cap of {PJK_FORM_CAP}"
-        )
-    y_subsets = [tuple(n + i for i in t) for t in combinations(range(m), k)]
-    alphabet = Alphabet.from_subsets(
-        n + m, (s + t for s in combinations(range(n), j) for t in y_subsets)
-    )
+    xs, ys = _lazy(combinations, range(n), j), range(n, n + m)
+    alphabet = Alphabet.from_subsets(n + m, (s + t for s in xs for t in combinations(ys, k)))
     out = BiSchurVector(n, m, schur_of_product(alphabet, [(n, "x"), (m, "y")]))
     if not out.is_nonnegative():
         bad = min(pair for pair, c in out.terms.items() if c < 0)
@@ -71,12 +59,16 @@ def pjk_expand(n: int, m: int, j: int, k: int) -> BiSchurVector:
 
 def dual_cauchy_reference(n: int, m: int) -> BiSchurVector:
     """The expansion of prod (x_i + y_t): one term per shape in the m-by-n box,
-    pairing each lambda with the conjugate of its box complement.  The box
-    cells are the forms of pjk_expand(n, m, 1, 1), and share its form cap."""
+    pairing each lambda with the conjugate of its box complement.  Its
+    C(n+m, n) terms times their n + m parts are held to FOLD_MAX_MONOMIALS,
+    which passes every box that pjk_expand(n, m, 1, 1) admits."""
     if n < 1 or m < 1:
         raise ValueError(f"need n, m >= 1, got {n}, {m}")
-    if n * m > PJK_FORM_CAP:
-        raise CapacityError(f"box size {n * m} exceeds the cap of {PJK_FORM_CAP}")
+    if (work := capped_comb(n + m, n) * (n + m)) > FOLD_MAX_MONOMIALS:
+        raise CapacityError(
+            f"the {n}-by-{m} box has {figure(capped_comb(n + m, n))} shapes of {figure(n + m)} "
+            f"parts, {figure(work)} in all, above the ceiling of {FOLD_MAX_MONOMIALS:,}"
+        )
     terms = {}
     for la in subpartitions((m,) * n):
         padded = la + (0,) * (n - len(la))

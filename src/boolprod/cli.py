@@ -142,7 +142,7 @@ def _cmd_regions(args):
 
 def _cmd_bialphabet(args):
     v = pjk_expand(args.n, args.m, args.j, args.k)
-    # an expansion that ran fits the reference's box, so it cannot refuse
+    # the reference's ceiling passes every box that pjk_expand admits, so it cannot refuse
     if args.j == 1 and args.k == 1 and v.terms != dual_cauchy_reference(args.n, args.m).terms:
         raise ConsistencyError("expansion deviates from the dual Cauchy reference")
     return {"terms": _terms_json(v, _pair_fields)}, [_render_terms(v, _pair_label)]

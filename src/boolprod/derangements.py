@@ -14,7 +14,7 @@ corresponding direct sum of irreducibles.
 from math import factorial
 
 from .errors import CapacityError, ConsistencyError
-from .polyring import Alphabet, QPoly, check_fold_capacity
+from .polyring import Alphabet, QPoly
 from .schur import MVector, SchurVector, _m_product, m_to_schur, schur_of_product
 from .tableaux import num_syt, partitions_up_to
 
@@ -31,11 +31,11 @@ def bnm1_q(n: int) -> SchurVector:
     is a product of integer forms, read off by schur_of_product (so the
     principal-specialisation self-check guards it) and split into n + 1
     balanced base-2^b digits, the q-coefficients; the full product is never
-    built.  A negative q-coefficient is a hard failure.
+    built, and dominant_coefficients counts its ceilings.  A negative
+    q-coefficient is a hard failure.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    check_fold_capacity(n, n, f"the product of the {n} forms e_1 + q x_i")
     # The coefficient of q^j s_la, from the Pieri product e_1^(n-j) e_j, counts
     # a standard tableau of some mu and a vertical strip la/mu of j cells;
     # filling the strip with n-j+1..n top to bottom makes a standard tableau
@@ -43,7 +43,7 @@ def bnm1_q(n: int) -> SchurVector:
     # at most f^la <= n! < 2^(b-2), and the digits are exact.
     b = factorial(n).bit_length() + 2
     base, half = 1 << b, 1 << (b - 1)
-    forms = tuple(tuple(1 + base * (i == j) for j in range(n)) for i in range(n))
+    forms = (tuple(1 + base * (i == j) for j in range(n)) for i in range(n))
     terms = {}
     for (la,), c in schur_of_product(Alphabet(n, forms), [(n, None)]).items():
         digits = []

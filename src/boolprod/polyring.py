@@ -17,14 +17,16 @@ one variable per form can reach: each form gives its degree to one variable
 it contains, so the first j variables of a block carry no more degree than
 there are forms touching them (Hall's marriage condition, P. Hall 1935).
 The keys are walked afresh for each product, part by part inside those
-caps, so the module keeps no table between calls.
+caps, so the module keeps no table between calls.  The caps also bound
+every fold monomial a key reads: the folds keep none past them, and every
+product of forms is admitted by counts taken inside them before any fold.
 ``alphabet_product`` and ``graded_elementary`` build full products, for
 callers that need every monomial and for tests.
 ``QPoly`` is the dense univariate type, trimmed of trailing zeros.
 """
 
 from collections.abc import Iterable, Iterator
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .errors import CapacityError
 from .record import FrozenRecord, Terms
@@ -39,15 +41,20 @@ Blocks = list[tuple[int, str | None]]
 
 
 class Alphabet(FrozenRecord):
-    """Ordered sequence of integer linear forms over a common variable count."""
+    """Ordered sequence of integer linear forms over a common variable count,
+    refused as its forms come in once it has more than FOLD_MAX_MONOMIALS
+    coefficients, forms times variables."""
 
     FIELDS = ("var_count", "forms")
 
-    def __init__(self, var_count: int, forms: tuple[LinearForm, ...]):
+    def __init__(self, var_count: int, forms: Iterable[LinearForm]):
+        kept = []
         for f in forms:
             if len(f) != var_count:
                 raise ValueError(f"form {f} has {len(f)} coefficients, expected {var_count}")
-        super().__init__(var_count, forms)
+            kept.append(f)
+            _check_coefficients(len(kept), var_count)
+        super().__init__(var_count, tuple(kept))
 
     def __len__(self) -> int:
         return len(self.forms)
@@ -57,14 +64,33 @@ class Alphabet(FrozenRecord):
         cls, var_count: int, index_tuples: Iterable[tuple[int, ...]]
     ) -> "Alphabet":
         """One form per index tuple: the sum of x_i over its indices, counted
-        with multiplicity, so (i, i) gives 2*x_i."""
-        forms = []
-        for indices in index_tuples:
-            coeffs = [0] * var_count
-            for i in indices:
-                coeffs[i] += 1
-            forms.append(tuple(coeffs))
-        return cls(var_count, tuple(forms))
+        with multiplicity, so (i, i) gives 2*x_i.  One form past the ceiling
+        is refused before a tuple is taken, so _lazy lists no pool that big."""
+
+        def forms():
+            _check_coefficients(1, var_count)
+            for indices in index_tuples:
+                coeffs = [0] * var_count
+                for i in indices:
+                    coeffs[i] += 1
+                yield tuple(coeffs)
+
+        return cls(var_count, forms())
+
+
+def _lazy(pick, pool: range, k: int) -> Iterator[tuple[int, ...]]:
+    """pick(pool, k), an itertools subset iterator, which lists its pool
+    only when the first subset is asked for."""
+    yield from pick(pool, k)
+
+
+def _check_coefficients(form_count: int, var_count: int) -> None:
+    total = form_count * var_count
+    if total > FOLD_MAX_MONOMIALS:
+        raise CapacityError(
+            f"an alphabet of forms in {figure(var_count)} variables reaches {figure(total)} "
+            f"coefficients at form {form_count:,}, above the ceiling of {FOLD_MAX_MONOMIALS:,}"
+        )
 
 
 def _mul_into(dest: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
@@ -180,14 +206,22 @@ def graded_elementary(a: Alphabet, cap: int | None = None) -> list[MonomialPoly]
     return [_unpack(terms, a.var_count, width) for terms in es]
 
 
-# Ceiling on every running fold, which _fold checks after each factor, and on
-# the larger fold of dominant_coefficients counted as every monomial of its
-# degree, which a fold of forms in few variables nearly fills.
-# Measured as three fresh CLI runs each on a shared 2-core host: boolean-expand
-# (7,4), at 593,775, takes 6.6-8.8 s and 145 MB, and (8,6), at 657,800,
-# 6.1-6.7 s and 163 MB; the total product at n = 6 (1,533,939) and (8,3)
-# (45,379,620) are refused.
+# Ceiling on the monomials of a fold: on the running product of _fold after
+# each factor, on _fold_bound's counts before dominant_coefficients folds,
+# and on an Alphabet's coefficients.  As fresh CLI runs on a quiet shared
+# 2-core host, bialphabet (10,11,10,10), counted at 967,772, takes 5.4 s at
+# 196 MB, and derangement n = 16 (691,918, of big coefficients) 7.3 s at
+# 201 MB; boolean-expand (8,3) (4,860,434) and lascoux n = 9 are refused.
 FOLD_MAX_MONOMIALS = 1_000_000
+
+# Ceiling on the work of dominant_coefficients, counted before either fold:
+# its keys times the bound on its smaller fold, each a pair of the dot loop,
+# plus 4 for each step its folds may take, as a step costs about four pairs.
+# As fresh CLI runs on a quiet shared 2-core host, one unit takes 90-145 ns:
+# boolean-expand (7,4) at 43,967,386 takes 5.4-5.5 s and 57 MB, derangement
+# n = 16 at 59,142,681 7.3 s and 201 MB, and bialphabet (4,6,4,3) at
+# 62,904,972 7.3 s; bialphabet (5,5,1,4) at 72,174,964 took 9.2 s.
+DOMINANT_MAX_WORK = 65_000_000
 
 
 # Counts in capacity messages are exact up to COUNT_MAX.  Past it they are
@@ -214,26 +248,6 @@ def figure(count: int, spec: str = ",") -> str:
     return format(count, spec) if count <= COUNT_MAX else "more than 10^30"
 
 
-def check_fold_capacity(var_count: int, degree: int, product: str | None = None) -> None:
-    """Raise CapacityError if the larger fold of a product of `degree` linear
-    forms in `var_count` variables may exceed FOLD_MAX_MONOMIALS; `product`
-    names it in the message.  boolean_product, total_boolean, ep_subset,
-    bnm1_q and lascoux_check, whose forms fill their degree, run it before
-    they build a form; pjk_expand's sparse forms meet it in _fold instead."""
-    top = degree - degree // 3
-    size = capped_comb(top + var_count - 1, var_count - 1)
-    if size > FOLD_MAX_MONOMIALS:
-        product = product or f"a product of {figure(degree, '')} forms in {var_count} variables"
-        bound = (
-            f"folds into up to C({top + var_count - 1},{var_count - 1}) = {size:,}"
-            if size <= COUNT_MAX
-            else f"may fold into {figure(size)}"
-        )
-        raise CapacityError(
-            f"{product} {bound} monomials, above the ceiling of {FOLD_MAX_MONOMIALS:,}"
-        )
-
-
 def block_cuts(blocks: Blocks, var_count: int) -> list:
     """(start, stop, name) of each block; the blocks must cover the variables."""
     cuts = []
@@ -246,10 +260,21 @@ def block_cuts(blocks: Blocks, var_count: int) -> list:
     return cuts
 
 
+def _hall_caps(a: Alphabet, cuts: list) -> list[list[int]]:
+    """N_b(j) for each block b and j = 1..its size: the number of forms with
+    a nonzero coefficient among the block's first j variables."""
+    caps = []
+    for lo, hi, _ in cuts:
+        firsts = [0] * (hi - lo + 1)  # forms by their first variable in the block, or none
+        for f in a.forms:
+            firsts[next((i - lo for i in range(lo, hi) if f[i]), hi - lo)] += 1
+        caps.append(list(accumulate(firsts[:-1])))
+    return caps
+
+
 def _dominant_keys(a: Alphabet, cuts: list, width: int) -> Iterator[tuple]:
     """(key, packed mu) for each key of dominant_coefficients that meets the
-    caps: mu_1 + ... + mu_j <= N_b(j) in every block b, N_b(j) being the
-    number of forms with a nonzero coefficient among its first j variables.
+    caps: mu_1 + ... + mu_j <= N_b(j) in every block b (see _hall_caps).
     A monomial of the product picks one variable with a nonzero coefficient
     from each form, so one past a cap has coefficient 0 whatever the forms'
     signs; every other key is kept.
@@ -258,15 +283,7 @@ def _dominant_keys(a: Alphabet, cuts: list, width: int) -> Iterator[tuple]:
     first.  A part never takes its block's prefix sum past the cap; in the
     last block no part is too small for the degree left to fit in the slots
     left, and the block ends only once the degree is spent."""
-    caps = []
-    for lo, hi, _ in cuts:
-        firsts = [0] * (hi - lo)  # forms by their first variable in the block
-        for f in a.forms:
-            for i in range(lo, hi):
-                if f[i]:
-                    firsts[i - lo] += 1
-                    break
-        caps.append(list(accumulate(firsts)))
+    caps = _hall_caps(a, cuts)
     last = len(cuts) - 1
 
     def walk(b: int, key: tuple, mu: tuple, packed: int, left: int):
@@ -288,6 +305,48 @@ def _dominant_keys(a: Alphabet, cuts: list, width: int) -> Iterator[tuple]:
     return walk(0, (), (), 0, len(a.forms))
 
 
+def _fold_bound(forms: tuple[LinearForm, ...], caps: list[int]) -> tuple[int, int]:
+    """Counts that no product _capped_fold(forms, caps) holds, and its steps
+    (monomials times variables of the next form), pass; or a first count
+    past COUNT_MAX.  After k forms a monomial has degree k and x_i <= u_i =
+    min(cap_i, forms with x_i).  Such vectors, counted by degree one variable
+    at a time, are the coefficients of prod (1 + t + ... + t^u_i), symmetric
+    and rising to the middle degree, so the count at degree k, or at the
+    middle if lower, bounds the product after k forms; so does a count over
+    the first variables at its own middle, and counting stops past COUNT_MAX."""
+    bounds = [min(cap, sum(map(bool, col))) for cap, col in zip(caps, zip(*forms))]
+    top = min(len(forms), sum(bounds) // 2)
+    counts = [1] + [0] * top
+    seen = 0
+    for u in bounds:
+        run = list(accumulate(counts, initial=0))  # run[s] = counts[0] + ... + counts[s - 1]
+        counts = run[1 : u + 1] + [hi - lo for hi, lo in zip(run[u + 1 :], run)]
+        seen += u
+        if counts[min(top, seen // 2)] > COUNT_MAX:
+            return counts[min(top, seen // 2)], 0
+    return counts[top], sum(counts[min(k, top)] * sum(map(bool, f)) for k, f in enumerate(forms))
+
+
+def _capped_fold(forms: tuple[LinearForm, ...], width: int, caps: list[int]) -> dict[int, int]:
+    """Product of the forms without the monomials x^e with some e_i > cap_i,
+    which no later form can lower: a monomial at x_i's cap never takes x_i.
+    In _mul_into this test made graded_elementary, with no caps, 17% slower."""
+    mask = (1 << width) - 1
+    acc = {0: 1}
+    for f in forms:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for i, c in enumerate(f):
+            if c:
+                shift, cap, step = width * i, caps[i], 1 << width * i
+                for k, v in acc.items():
+                    if k >> shift & mask < cap:
+                        k += step
+                        nxt[k] = get(k, 0) + c * v
+        acc = nxt
+    return acc
+
+
 def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, ...], int]:
     """Coefficient of x^mu in the product of the alphabet's forms, for every
     mu that is a partition in each block, keyed by one partition per block
@@ -295,25 +354,44 @@ def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, 
     zeros are left out.  A product symmetric in each block is fixed by these.
 
     Only the keys of _dominant_keys are read; the rest are 0 by Hall's
-    condition, for any integer forms.  The first d//3 forms and the rest are
-    folded separately, and then M[mu] = sum small[alpha] * big[mu - alpha],
-    walking the smaller fold.  Each field of a packed key holds a value up
-    to d plus one guard bit, so with every guard bit set in G, mu - alpha is
-    borrow-free (alpha <= mu in every variable) iff ((mu | G) - alpha) & G == G.
+    condition, for any integer forms.  Part j of block b is at most N_b(j)/j,
+    its cap.  The first d//3 forms and the rest are folded separately within
+    the caps, and M[mu] = sum small[alpha] * big[mu - alpha], walking the
+    smaller fold.  CapacityError comes before any fold if _fold_bound lets a
+    fold pass FOLD_MAX_MONOMIALS, or the dots and steps pass DOMINANT_MAX_WORK.
+    A packed field holds up to d plus one guard bit, so with every guard bit
+    set in G, mu - alpha is borrow-free (alpha <= mu in every variable) iff
+    ((mu | G) - alpha) & G == G.
     """
     n, d = a.var_count, len(a.forms)
     cuts = block_cuts(blocks, n)
+    caps = [hall[j] // (j + 1) for hall in _hall_caps(a, cuts) for j in range(len(hall))]
+    parts = a.forms[: d // 3], a.forms[d // 3 :]
+    product = f"a product of {d:,} forms in {n:,} variables"
+    (small, small_steps), (big, big_steps) = (_fold_bound(part, caps) for part in parts)
+    if max(small, big) > FOLD_MAX_MONOMIALS:
+        raise CapacityError(
+            f"{product} may fold, within its Hall caps, into {figure(max(small, big))} "
+            f"monomials, above the ceiling of {FOLD_MAX_MONOMIALS:,}"
+        )
     width = d.bit_length() + 1
+    steps = small_steps + big_steps
+    limit = (DOMINANT_MAX_WORK - 4 * steps) // small + 1  # keys that pass the ceiling
+    keys = list(islice(_dominant_keys(a, cuts, width), max(limit, 0)))
+    if len(keys) >= limit:
+        raise CapacityError(
+            f"{product} may take {steps:,} fold steps at 4 each and {len(keys):,} or more keys "
+            f"times up to {small:,} monomials of its smaller fold, "
+            f"{4 * steps + len(keys) * small:,} in all, above the ceiling of {DOMINANT_MAX_WORK:,}"
+        )
+    small_fold = list(_capped_fold(parts[0], width, caps).items())
+    get = _capped_fold(parts[1], width, caps).get
     guard = sum(1 << (width * i + width - 1) for i in range(n))
-    cut = d // 3
-    small = list(_fold(_pack_form(f, width) for f in a.forms[:cut]).items())
-    big = _fold(_pack_form(f, width) for f in a.forms[cut:])
-    get = big.get
     out: dict[tuple[Partition, ...], int] = {}
-    for key, packed in _dominant_keys(a, cuts, width):
+    for key, packed in keys:
         top = packed | guard
         total = 0
-        for alpha, c in small:
+        for alpha, c in small_fold:
             rest = top - alpha
             if rest & guard == guard:
                 total += c * get(rest ^ guard, 0)

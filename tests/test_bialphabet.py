@@ -131,20 +131,48 @@ def test_swapping_blocks_transposes():
 
 
 def test_capacity_limits():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="into 1,900,715 monomials"):
         pjk_expand(4, 4, 2, 2)  # 36 forms
-    with pytest.raises(CapacityError):
-        dual_cauchy_reference(6, 6)  # 36 cells, the forms of pjk_expand(6, 6, 1, 1)
+    # C(12,6) = 924 shapes of 12 parts pass; C(20,10) = 184,756 of 20 do not
+    assert len(dual_cauchy_reference(6, 6).terms) == 924
+    with pytest.raises(CapacityError, match="184,756 shapes of 20 parts, 3,695,120 in all"):
+        dual_cauchy_reference(10, 10)
 
 
 def test_the_running_fold_bounds_pjk_expand(monkeypatch):
-    # pjk_expand(3, 3, 1, 1)'s larger fold, of six forms x_i + y_t, holds 54
-    # monomials; the form cap alone would let it run
-    monkeypatch.setattr("boolprod.polyring.FOLD_MAX_MONOMIALS", 54)
+    # pjk_expand(3, 3, 1, 1)'s larger fold, of six forms x_i + y_t, holds at
+    # most 54 monomials, counted as 78 before it is folded
+    monkeypatch.setattr("boolprod.polyring.FOLD_MAX_MONOMIALS", 78)
     assert pjk_expand(3, 3, 1, 1).terms == dual_cauchy_reference(3, 3).terms
-    monkeypatch.setattr("boolprod.polyring.FOLD_MAX_MONOMIALS", 53)
-    with pytest.raises(CapacityError, match="above the ceiling of 53"):
+    monkeypatch.setattr("boolprod.polyring.FOLD_MAX_MONOMIALS", 77)
+    monkeypatch.setattr("boolprod.polyring._capped_fold", None)  # never reached
+    with pytest.raises(CapacityError, match="into 78 monomials, above the ceiling of 77"):
         pjk_expand(3, 3, 1, 1)
+
+
+def test_the_reference_admits_every_box_the_expansion_admits(monkeypatch):
+    # decided on the counts alone: a fold or a listing of shapes that raises
+    # shows the work was admitted
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr("boolprod.polyring._capped_fold", admitted)
+    monkeypatch.setattr("boolprod.bialphabet.subpartitions", admitted)
+    boxes = 0
+    for n in range(1, 31):
+        for m in range(1, 31):
+            try:
+                pjk_expand(n, m, 1, 1)
+            except CapacityError:
+                continue
+            except Admitted:
+                boxes += 1
+            with pytest.raises(Admitted):
+                dual_cauchy_reference(n, m)
+    assert boxes > 30
 
 
 def test_parameter_validation():

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from boolprod.boolean import (
+    _graded_subset_terms,
     boolean_product,
     ep_subset,
     subset_alphabet,
@@ -15,7 +16,6 @@ from boolprod.polyring import (
     Alphabet,
     MonomialPoly,
     alphabet_product,
-    check_fold_capacity,
     graded_elementary,
     poly_product,
 )
@@ -160,14 +160,16 @@ def test_total_boolean_capacity():
 
 
 def test_fold_ceiling_refuses_before_the_forms_are_built(monkeypatch):
-    # 184,756 forms for (20,10): the ceiling runs on C(n,k) alone
-    def unreachable(n, k):
-        raise AssertionError("the forms were built before the fold ceiling")
+    # 184,756 forms for (20,10): the alphabet stops at the form that takes
+    # it past 1,000,000 coefficients, long before the rest are built
+    def unreachable(*args):
+        raise AssertionError("a product was folded past the ceiling")
 
-    monkeypatch.setattr("boolprod.boolean.subset_alphabet", unreachable)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr("boolprod.polyring._capped_fold", unreachable)
+    past = r"reaches 1,000,020 coefficients at form 50,001, above the ceiling of 1,000,000"
+    with pytest.raises(CapacityError, match=past):
         boolean_product(20, 10)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=past):
         ep_subset(20, 10, 1)
     # usage errors keep their messages and come first
     with pytest.raises(ValueError, match=r"need 1 <= k <= n, got k=21, n=20"):
@@ -217,23 +219,37 @@ def test_root_only_products_never_build_the_full_product(monkeypatch):
     assert bnm1_q(5).terms
 
 
-def test_fold_ceiling():
-    # the slices of (n,k) fold t + X_S in n + 1 variables: (6,3) at C(20,6) =
-    # 38,760 and (7,2) at C(21,7) = 116,280 pass, (7,3) at C(31,7) = 2,629,575
-    # does not, whatever p
-    check_fold_capacity(7, comb(6, 3))
-    check_fold_capacity(8, comb(7, 2))
+def test_fold_ceiling(monkeypatch):
+    # both counts are taken before either fold, so a fold that raises shows
+    # what they admit: the slices of (n,k), which fold t + X_S in n + 1
+    # variables, at (6,3) and (7,2), the (7,4) product and the total product
+    # at n = 5
+    class Folded(Exception):
+        pass
+
+    def fold(*args):
+        raise Folded
+
+    monkeypatch.setattr("boolprod.polyring._capped_fold", fold)
+    _graded_subset_terms.cache_clear()
+    for admitted in (
+        lambda: ep_subset(6, 3, 1),
+        lambda: ep_subset(7, 2, 1),
+        lambda: boolean_product(7, 4),
+        lambda: total_boolean(5),
+    ):
+        with pytest.raises(Folded):
+            admitted()
+    # (7,3)'s fold steps and dots pass the work ceiling, whatever p; the
+    # larger fold of (8,3) may hold 4,860,434 monomials within its caps; the
+    # fold steps of the total product at n = 6 pass the work ceiling alone
     for p in (0, 2, 35, 36):
-        with pytest.raises(CapacityError, match="2,629,575"):
+        with pytest.raises(CapacityError, match=r"in all, above the ceiling of 65,000,000"):
             ep_subset(7, 3, p)
-    # the larger fold of (7,4) has C(30,6) = 593,775 monomials, of (8,3)
-    # C(45,7) = 45,379,620; the total product stops at n = 5
-    check_fold_capacity(7, comb(7, 4))
-    check_fold_capacity(5, 2**5 - 1)
-    with pytest.raises(CapacityError, match="45,379,620"):
+    with pytest.raises(CapacityError, match="4,860,434 monomials"):
         boolean_product(8, 3)
-    with pytest.raises(CapacityError):
-        check_fold_capacity(6, 2**6 - 1)
+    with pytest.raises(CapacityError, match=r"29,691,931 fold steps at 4 each and 0 or more"):
+        total_boolean(6)
 
 
 def test_schur_product_reconversion_route():

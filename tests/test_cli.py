@@ -7,8 +7,10 @@ is the form the determinism promise is made in.
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -185,18 +187,19 @@ def test_boolean_expand_past_the_fold_ceiling_exits_3(capsys):
     code, out, err = run_cli(capsys, "boolean-expand", "--n", "8", "--k", "3")
     assert code == 3
     assert out == ""
-    assert err.startswith("capacity:") and "45,379,620" in err
+    assert err.startswith("capacity:") and "4,860,434 monomials" in err
 
 
 def test_boolean_expand_slice_past_the_fold_ceiling_exits_3(capsys):
-    # t + X_S in 8 variables: the larger fold of (7,3) may hold C(31,7)
+    # t + X_S in 8 variables: (7,3)'s fold steps and dots pass the work
+    # ceiling once 430 of its keys are walked
     code, out, err = run_cli(capsys, "boolean-expand", "--n", "7", "--k", "3", "--p", "2")
     assert code == 3
     assert out == ""
     assert err == (
-        "capacity: the product of the 35 forms t + X_S in 8 variables behind every e_p "
-        "of the (7,3) alphabet folds into up to C(31,7) = 2,629,575 monomials, above "
-        "the ceiling of 1,000,000\n"
+        "capacity: a product of 35 forms in 8 variables may take 14,501,432 fold steps at 4 "
+        "each and 430 or more keys times up to 16,302 monomials of its smaller fold, "
+        "65,015,588 in all, above the ceiling of 65,000,000\n"
     )
 
 
@@ -210,28 +213,33 @@ def test_sparse_bialphabet_forms_are_not_held_to_the_fold_ceiling(capsys):
 
 
 def test_lascoux_and_derangement_past_the_fold_ceiling_exit_3(capsys):
-    code, out, err = run_cli(capsys, "lascoux", "--n", "8", "--kind", "exterior")
+    code, out, err = run_cli(capsys, "lascoux", "--n", "9", "--kind", "exterior")
     assert (code, out) == (3, "")
-    assert "C(27,8) = 2,220,075 monomials" in err
-    code, out, err = run_cli(capsys, "derangement", "--n", "14")
+    assert "36 forms in 10 variables may fold, within its Hall caps, into 1,046,868 mon" in err
+    code, out, err = run_cli(capsys, "derangement", "--n", "17")
     assert (code, out) == (3, "")
-    assert "C(23,13) = 1,144,066 monomials" in err
+    assert "17 forms in 17 variables may fold, within its Hall caps, into 1,747,547 mon" in err
 
 
 def test_bialphabet_box_cap_refuses_before_expanding(capsys, monkeypatch):
-    # the 20 box cells are within the form cap: the expansion runs and exit 0
-    # means it matched the dual Cauchy reference
+    # the 20 forms of a 5-by-4 box pass both counts: the expansion runs and
+    # exit 0 means it matched the dual Cauchy reference
     code, out, err = run_cli(capsys, "bialphabet", "--n", "5", "--m", "4", "--j", "1", "--k", "1")
     assert (code, err) == (0, "")
     assert out == _render_terms(dual_cauchy_reference(5, 4), _pair_label) + "\n"
 
-    def unreachable(a, blocks):
+    def unreachable(*args):
         raise AssertionError("pjk_expand ran past a refusal")
 
-    # pjk_expand refuses before it reads any product off
-    monkeypatch.setattr("boolprod.bialphabet.schur_of_product", unreachable)
+    # pjk_expand refuses before it folds any product
+    monkeypatch.setattr("boolprod.polyring._capped_fold", unreachable)
     code, out, err = run_cli(capsys, "bialphabet", "--n", "5", "--m", "7", "--j", "1", "--k", "1")
-    assert (code, out, err) == (3, "", "capacity: product of 35 forms exceeds the cap of 30\n")
+    assert (code, out, err) == (
+        3,
+        "",
+        "capacity: a product of 35 forms in 12 variables may fold, within its Hall caps, "
+        "into 4,835,428 monomials, above the ceiling of 1,000,000\n",
+    )
     code, out, err = run_cli(capsys, "bialphabet", "--n", "0", "--m", "2", "--j", "1", "--k", "1")
     assert (code, out, err) == (2, "", "error: need 0 <= j <= n, got j=1, n=0\n")
 
@@ -278,15 +286,14 @@ def test_schur_at_past_its_row_ceiling_exits_3_in_a_fresh_process():
 @pytest.mark.parametrize(
     "argv, err",
     [
+        (["total", "--n", "124"], "124 variables reaches 1,000,060 coefficients at form 8,065"),
         (
-            ["total", "--n", "124"],
-            "a product of more than 10^30 forms in 124 variables may fold into more "
-            "than 10^30 monomials",
+            ["boolean-expand", "--n", "4000", "--k", "2000"],
+            "4,000 variables reaches 1,004,000 coefficients at form 251",
         ),
-        (["boolean-expand", "--n", "4000", "--k", "2000"], "may fold into more than 10^30"),
         (
             ["lascoux", "--n", "1400", "--kind", "exterior"],
-            "the product of 979300 exterior pair forms t + x_i + x_j may fold",
+            "1,400 variables reaches 1,001,000 coefficients at form 715",
         ),
         (
             ["schur-at", "--lambda", "1", "--n", "20000", "--k", "10000"],
@@ -294,25 +301,60 @@ def test_schur_at_past_its_row_ceiling_exits_3_in_a_fresh_process():
         ),
         (
             ["bialphabet", "--n", "20000", "--m", "1", "--j", "10000", "--k", "1"],
-            "product of more than 10^30 forms exceeds the cap of 30",
+            "20,001 variables reaches 1,000,050 coefficients at form 50",
+        ),
+        (
+            ["boolean-expand", "--n", "130", "--k", "65", "--p", "1"],
+            "130 variables reaches 1,000,090 coefficients at form 7,693",
         ),
         # a count cut short is not printed as if it were exact
         (
-            ["boolean-expand", "--n", "130", "--k", "65", "--p", "1"],
-            "the product of the more than 10^30 forms t + X_S in 131 variables",
+            ["lascoux", "--n", "1" + "0" * 3000, "--kind", "exterior"],
+            "an alphabet of forms in more than 10^30 variables reaches more than 10^30 "
+            "coefficients at form 1",
         ),
         (
-            ["lascoux", "--n", "1" + "0" * 3000, "--kind", "exterior"],
-            "the product of more than 10^30 exterior pair forms",
+            ["derangement", "--n", "100000"],
+            "100,000 variables reaches 1,100,000 coefficients at form 11",
         ),
     ],
-    ids=["total", "boolean-expand", "lascoux", "schur-at", "bialphabet", "slice", "lascoux-n"],
+    ids=[
+        "total", "boolean-expand", "lascoux", "schur-at", "bialphabet", "slice", "lascoux-n",
+        "derangement",
+    ],
 )
 def test_refusals_of_huge_inputs_exit_3(capsys, argv, err):
-    # these counts pass Python's 4,300-digit limit for printing an int
+    # some of these counts pass Python's 4,300-digit limit for printing an
+    # int; each refusal comes within a second, and no count past 10^30 is
+    # printed as if it were exact
+    start = time.perf_counter()
     code, out, got = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert got.startswith("capacity: ") and err in got
+    assert all(int(x.replace(",", "")) <= 10**30 for x in re.findall(r"\d[\d,]*", got))
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["bialphabet", "--n", "2", "--m", "8", "--j", "2", "--k", "2"], "65,007,918 in all"),
+        (["total", "--n", "6"], "118,767,724 in all"),
+        (["boolean-expand", "--n", "8", "--k", "3"], "4,860,434 monomials"),
+        (["boolean-expand", "--n", "7", "--k", "3", "--p", "2"], "65,015,588 in all"),
+        (["lascoux", "--n", "9", "--kind", "exterior"], "1,046,868 monomials"),
+        (["derangement", "--n", "17"], "1,747,547 monomials"),
+    ],
+)
+def test_refusals_come_before_any_fold(capsys, monkeypatch, argv, count):
+    def unreachable(*args):
+        raise AssertionError("a product was folded before its refusal")
+
+    for name in ("_mul_into", "_capped_fold"):
+        monkeypatch.setattr(f"boolprod.polyring.{name}", unreachable)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("capacity: ") and count in err
 
 
 def test_consistency_errors_exit_4(capsys, monkeypatch):

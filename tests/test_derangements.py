@@ -99,8 +99,8 @@ def test_bnm1_q_at_zero_is_power_of_e1():
 def test_bnm1_q_out_of_range():
     with pytest.raises(ValueError):
         bnm1_q(0)
-    with pytest.raises(CapacityError):
-        bnm1_q(14)
+    with pytest.raises(CapacityError, match="into 1,747,547 monomials"):
+        bnm1_q(17)
     with pytest.raises(ValueError):
         alternating_expansion(0)
     with pytest.raises(CapacityError):
@@ -212,6 +212,15 @@ def test_four_routes_agree():
         assert from_q.terms == alternating.terms
         assert from_q.terms == direct.terms
         assert from_q.terms == by_syt.terms
+
+
+def test_bnm1_q_at_14_matches_the_independent_routes():
+    # n = 14 is past the dense fold count, but its fold within the caps of
+    # the keys is admitted
+    v = bnm1_q(14)
+    assert specialize_q(v, -1).terms == alternating_expansion(14).terms
+    assert frobenius_dimension(v, 0) == factorial(14)
+    assert frobenius_dimension(v, -1) == derangement_number(14)
 
 
 def test_tableau_counts_hit_derangement_numbers():

@@ -261,9 +261,16 @@ def test_lascoux_top_term_is_staircase(reports):
 
 
 def test_lascoux_out_of_range():
-    with pytest.raises(CapacityError):
-        lascoux_check(8, "exterior")
+    with pytest.raises(CapacityError, match="into 1,046,868 monomials"):
+        lascoux_check(9, "exterior")
     # parameters out of the domain are refused before the capacity check
     for n, kind in ((1, "exterior"), (3, "weird"), (8, "weird")):
         with pytest.raises(ValueError):
             lascoux_check(n, kind)
+
+
+def test_lascoux_exterior_at_8_meets_its_binomial_determinants():
+    # n = 8 is past the dense fold count, but its fold within the caps of
+    # the keys is admitted; lascoux_check raises unless both sides agree
+    report = lascoux_check(8, "exterior")
+    assert report.equal and report.lhs.terms

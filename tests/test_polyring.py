@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -10,11 +11,13 @@ from boolprod.polyring import (
     Alphabet,
     MonomialPoly,
     QPoly,
+    _capped_fold,
     _dominant_keys,
+    _fold_bound,
+    _hall_caps,
     alphabet_product,
     block_cuts,
     capped_comb,
-    check_fold_capacity,
     dominant_coefficients,
     figure,
     graded_elementary,
@@ -233,13 +236,15 @@ def test_packed_fields_hold_a_degree_that_fills_them():
 
 
 def test_a_running_fold_past_the_ceiling_is_refused(monkeypatch):
-    # (x1 + x2)^p holds p + 1 monomials: the third factor takes it past 3
+    # (x1 + x2)^p holds p + 1 monomials: the third factor takes it past 3.
+    # The alphabets are built first, as they hold more than 3 coefficients.
+    square, fifth = Alphabet(2, ((1, 1),) * 2), Alphabet(2, ((1, 1),) * 5)
     monkeypatch.setattr("boolprod.polyring.FOLD_MAX_MONOMIALS", 3)
-    assert alphabet_product(Alphabet(2, ((1, 1),) * 2)).terms == {
+    assert alphabet_product(square).terms == {
         (2, 0): 1, (1, 1): 2, (0, 2): 1
     }
     with pytest.raises(CapacityError, match="4 monomials after 3 factors"):
-        alphabet_product(Alphabet(2, ((1, 1),) * 5))
+        alphabet_product(fifth)
 
 
 def test_poly_product_matches_left_fold():
@@ -299,10 +304,60 @@ def test_counts_are_exact_up_to_count_max_and_cut_short_past_it():
     assert figure(COUNT_MAX) == "1,000,000,000,000,000,000,000,000,000,000"
     assert figure(COUNT_MAX + 1) == figure(10**5000) == "more than 10^30"
     assert figure(123_456, "") == "123456"
-    # the fold message prints the exact count up to 10^30: 268 forms in 4
-    # variables pass at C(182,3) = 988,260 monomials, 269 do not
-    check_fold_capacity(4, 268)
-    with pytest.raises(CapacityError, match=r"up to C\(183,3\) = 1,004,731 monomials"):
-        check_fold_capacity(4, 269)
-    with pytest.raises(CapacityError, match="forms in 4 variables may fold into more than 10"):
-        check_fold_capacity(4, 10**11)
+    # the fold message prints the exact count up to 10^30: (x1 + ... + x4)^318
+    # folds its last 212 forms within the caps 318, 159, 106 and 79 into at
+    # most 1,005,245 monomials
+    with pytest.raises(CapacityError, match="into 1,005,245 monomials, above the ceiling"):
+        dominant_coefficients(Alphabet(4, ((1, 1, 1, 1),) * 318), [(4, None)])
+    with pytest.raises(CapacityError, match="more than 10.30 variables reaches more than 10.30 co"):
+        Alphabet.from_subsets(10**40, [(0,)])
+
+
+def vectors_within(bounds, degree):
+    """The exponent vectors of the given degree with x_i <= bounds[i], counted
+    by plain recursion over the variables."""
+
+    @cache
+    def count(i, left):
+        if i == len(bounds):
+            return int(left == 0)
+        return sum(count(i + 1, left - x) for x in range(min(bounds[i], left) + 1))
+
+    return count(0, degree)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_capping_changes_no_coefficient(data):
+    # the reference expands the whole product and keeps the monomials that
+    # are partitions in each block; forms drawn from a small pool repeat, and
+    # zero and negative coefficients leave some caps below the degree
+    sizes = data.draw(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3).filter(any)
+    )
+    n = sum(sizes)
+    coeff = st.integers(min_value=-2, max_value=2)
+    pool = data.draw(st.lists(st.tuples(*[coeff] * n), min_size=1, max_size=4))
+    forms = tuple(data.draw(st.lists(st.sampled_from(pool), max_size=7)))
+    a = Alphabet(n, forms)
+    blocks = [(size, None) for size in sizes]
+    cuts = block_cuts(blocks, n)
+    want = {}
+    for e, c in alphabet_product(a).terms.items():
+        parts = [e[lo:hi] for lo, hi, _ in cuts]
+        if all(list(part) == sorted(part, reverse=True) for part in parts):
+            want[tuple(tuple(x for x in part if x) for part in parts)] = c
+    assert dominant_coefficients(a, blocks) == want
+    # each part's count is the vectors of one degree within the caps and the
+    # forms that touch each variable; no step of its capped fold passes it,
+    # and the fold's steps, monomials times variables of the next form, do
+    # not pass their count
+    caps = [hall[j] // (j + 1) for hall in _hall_caps(a, cuts) for j in range(len(hall))]
+    width = len(forms).bit_length() + 1
+    for part in (forms[: len(forms) // 3], forms[len(forms) // 3 :]):
+        bounds = [min(cap, sum(1 for f in part if f[i])) for i, cap in enumerate(caps)]
+        bound, steps = _fold_bound(part, caps)
+        assert bound == vectors_within(bounds, min(len(part), sum(bounds) // 2))
+        sizes = [len(_capped_fold(part[:k], width, caps)) for k in range(len(part) + 1)]
+        assert max(sizes) <= bound
+        assert sum(size * sum(map(bool, f)) for size, f in zip(sizes, part)) <= steps
