@@ -243,9 +243,9 @@ def capped_comb(n: int, k: int) -> int:
     return value
 
 
-def figure(count: int, spec: str = ",") -> str:
-    """count in the format spec, or "more than 10^30" past COUNT_MAX."""
-    return format(count, spec) if count <= COUNT_MAX else "more than 10^30"
+def figure(count: int) -> str:
+    """count with thousands commas, or "more than 10^30" past COUNT_MAX."""
+    return f"{count:,}" if count <= COUNT_MAX else "more than 10^30"
 
 
 def block_cuts(blocks: Blocks, var_count: int) -> list:

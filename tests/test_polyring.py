@@ -303,7 +303,7 @@ def test_counts_are_exact_up_to_count_max_and_cut_short_past_it():
     assert COUNT_MAX < capped_comb(10**1000, 10**999) < 10**2000
     assert figure(COUNT_MAX) == "1,000,000,000,000,000,000,000,000,000,000"
     assert figure(COUNT_MAX + 1) == figure(10**5000) == "more than 10^30"
-    assert figure(123_456, "") == "123456"
+    assert figure(123_456) == "123,456"
     # the fold message prints the exact count up to 10^30: (x1 + ... + x4)^318
     # folds its last 212 forms within the caps 318, 159, 106 and 79 into at
     # most 1,005,245 monomials
