@@ -215,8 +215,8 @@ def test_four_routes_agree():
 
 
 def test_bnm1_q_at_14_matches_the_independent_routes():
-    # n = 14 is past the dense fold count, but its fold within the caps of
-    # the keys is admitted
+    # n = 14 runs only because its folds are counted within the caps of its
+    # keys; a count of every monomial of the fold's degree would refuse it
     v = bnm1_q(14)
     assert specialize_q(v, -1).terms == alternating_expansion(14).terms
     assert frobenius_dimension(v, 0) == factorial(14)

@@ -270,7 +270,7 @@ def test_lascoux_out_of_range():
 
 
 def test_lascoux_exterior_at_8_meets_its_binomial_determinants():
-    # n = 8 is past the dense fold count, but its fold within the caps of
-    # the keys is admitted; lascoux_check raises unless both sides agree
+    # n = 8 runs only because its folds are counted within the caps of its
+    # keys; lascoux_check raises unless both sides agree
     report = lascoux_check(8, "exterior")
     assert report.equal and report.lhs.terms
