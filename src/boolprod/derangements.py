@@ -14,7 +14,7 @@ corresponding direct sum of irreducibles.
 from math import factorial
 
 from .errors import CapacityError, ConsistencyError
-from .polyring import Alphabet, QPoly
+from .polyring import Alphabet, QPoly, _check_coefficients
 from .schur import MVector, SchurVector, _m_product, m_to_schur, schur_of_product
 from .tableaux import num_syt, partitions_up_to
 
@@ -36,6 +36,7 @@ def bnm1_q(n: int) -> SchurVector:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_coefficients(n, n)  # the alphabet's own ceiling, before n! is computed
     # The coefficient of q^j s_la, from the Pieri product e_1^(n-j) e_j, counts
     # a standard tableau of some mu and a vertical strip la/mu of j cells;
     # filling the strip with n-j+1..n top to bottom makes a standard tableau
@@ -43,7 +44,7 @@ def bnm1_q(n: int) -> SchurVector:
     # at most f^la <= n! < 2^(b-2), and the digits are exact.
     b = factorial(n).bit_length() + 2
     base, half = 1 << b, 1 << (b - 1)
-    forms = (tuple(1 + base * (i == j) for j in range(n)) for i in range(n))
+    forms = tuple(tuple(1 + base * (i == j) for j in range(n)) for i in range(n))
     terms = {}
     for (la,), c in schur_of_product(Alphabet(n, forms), [(n, None)]).items():
         digits = []

@@ -41,20 +41,15 @@ Blocks = list[tuple[int, str | None]]
 
 
 class Alphabet(FrozenRecord):
-    """Ordered sequence of integer linear forms over a common variable count,
-    refused as its forms come in once it has more than FOLD_MAX_MONOMIALS
-    coefficients, forms times variables."""
+    """Ordered sequence of integer linear forms over a common variable count."""
 
     FIELDS = ("var_count", "forms")
 
-    def __init__(self, var_count: int, forms: Iterable[LinearForm]):
-        kept = []
+    def __init__(self, var_count: int, forms: tuple[LinearForm, ...]):
         for f in forms:
             if len(f) != var_count:
                 raise ValueError(f"form {f} has {len(f)} coefficients, expected {var_count}")
-            kept.append(f)
-            _check_coefficients(len(kept), var_count)
-        super().__init__(var_count, tuple(kept))
+        super().__init__(var_count, forms)
 
     def __len__(self) -> int:
         return len(self.forms)
@@ -64,18 +59,19 @@ class Alphabet(FrozenRecord):
         cls, var_count: int, index_tuples: Iterable[tuple[int, ...]]
     ) -> "Alphabet":
         """One form per index tuple: the sum of x_i over its indices, counted
-        with multiplicity, so (i, i) gives 2*x_i.  One form past the ceiling
-        is refused before a tuple is taken, so _lazy lists no pool that big."""
-
-        def forms():
-            _check_coefficients(1, var_count)
-            for indices in index_tuples:
-                coeffs = [0] * var_count
-                for i in indices:
-                    coeffs[i] += 1
-                yield tuple(coeffs)
-
-        return cls(var_count, forms())
+        with multiplicity, so (i, i) gives 2*x_i.  CapacityError once the
+        forms pass FOLD_MAX_MONOMIALS coefficients, forms times variables, and
+        for a single form past it before a tuple is taken, so _lazy lists no
+        pool that big."""
+        forms = []
+        _check_coefficients(1, var_count)
+        for indices in index_tuples:
+            coeffs = [0] * var_count
+            for i in indices:
+                coeffs[i] += 1
+            forms.append(tuple(coeffs))
+            _check_coefficients(len(forms), var_count)
+        return cls(var_count, tuple(forms))
 
 
 def _lazy(pick, pool: range, k: int) -> Iterator[tuple[int, ...]]:
@@ -208,10 +204,11 @@ def graded_elementary(a: Alphabet, cap: int | None = None) -> list[MonomialPoly]
 
 # Ceiling on the monomials of a fold: on the running product of _fold after
 # each factor, on _fold_bound's counts before dominant_coefficients folds,
-# and on an Alphabet's coefficients.  As fresh CLI runs on a quiet shared
-# 2-core host, bialphabet (10,11,10,10), counted at 967,772, takes 5.4 s at
-# 196 MB, and derangement n = 16 (691,918, of big coefficients) 7.3 s at
-# 201 MB; boolean-expand (8,3) (4,860,434) and lascoux n = 9 are refused.
+# and on the coefficients Alphabet.from_subsets builds.  As fresh CLI runs on
+# a quiet shared 2-core host, bialphabet (10,11,10,10), counted at 967,772,
+# takes 5.4 s at 196 MB, and derangement n = 16 (691,918, of big
+# coefficients) 7.3 s at 201 MB; boolean-expand (8,3) (4,860,434) and
+# lascoux n = 9 are refused.
 FOLD_MAX_MONOMIALS = 1_000_000
 
 # Ceiling on the work of dominant_coefficients, counted before either fold:
@@ -272,9 +269,10 @@ def _hall_caps(a: Alphabet, cuts: list) -> list[list[int]]:
     return caps
 
 
-def _dominant_keys(a: Alphabet, cuts: list, width: int) -> Iterator[tuple]:
-    """(key, packed mu) for each key of dominant_coefficients that meets the
-    caps: mu_1 + ... + mu_j <= N_b(j) in every block b (see _hall_caps).
+def _dominant_keys(hall: list[list[int]], cuts: list, d: int, width: int) -> Iterator[tuple]:
+    """(key, packed mu) for each key of dominant_coefficients, of degree d,
+    that meets the caps: mu_1 + ... + mu_j <= N_b(j) = hall[b][j - 1] in
+    every block b (see _hall_caps).
     A monomial of the product picks one variable with a nonzero coefficient
     from each form, so one past a cap has coefficient 0 whatever the forms'
     signs; every other key is kept.
@@ -283,7 +281,6 @@ def _dominant_keys(a: Alphabet, cuts: list, width: int) -> Iterator[tuple]:
     first.  A part never takes its block's prefix sum past the cap; in the
     last block no part is too small for the degree left to fit in the slots
     left, and the block ends only once the degree is spent."""
-    caps = _hall_caps(a, cuts)
     last = len(cuts) - 1
 
     def walk(b: int, key: tuple, mu: tuple, packed: int, left: int):
@@ -297,12 +294,12 @@ def _dominant_keys(a: Alphabet, cuts: list, width: int) -> Iterator[tuple]:
         j = len(mu)
         if j == hi - lo:
             return
-        top = min(mu[-1] if mu else left, left, caps[b][j] - sum(mu))
+        top = min(mu[-1] if mu else left, left, hall[b][j] - sum(mu))
         least = 1 if b < last else -(-left // (hi - lo - j))
         for part in range(top, least - 1, -1):
             yield from walk(b, key, mu + (part,), packed + (part << width * (lo + j)), left - part)
 
-    return walk(0, (), (), 0, len(a.forms))
+    return walk(0, (), (), 0, d)
 
 
 def _fold_bound(forms: tuple[LinearForm, ...], caps: list[int]) -> tuple[int, int]:
@@ -365,7 +362,8 @@ def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, 
     """
     n, d = a.var_count, len(a.forms)
     cuts = block_cuts(blocks, n)
-    caps = [hall[j] // (j + 1) for hall in _hall_caps(a, cuts) for j in range(len(hall))]
+    hall = _hall_caps(a, cuts)
+    caps = [row[j] // (j + 1) for row in hall for j in range(len(row))]
     parts = a.forms[: d // 3], a.forms[d // 3 :]
     product = f"a product of {d:,} forms in {n:,} variables"
     (small, small_steps), (big, big_steps) = (_fold_bound(part, caps) for part in parts)
@@ -375,14 +373,14 @@ def dominant_coefficients(a: Alphabet, blocks: Blocks) -> dict[tuple[Partition, 
             f"monomials, above the ceiling of {FOLD_MAX_MONOMIALS:,}"
         )
     width = d.bit_length() + 1
-    steps = small_steps + big_steps
-    limit = (DOMINANT_MAX_WORK - 4 * steps) // small + 1  # keys that pass the ceiling
-    keys = list(islice(_dominant_keys(a, cuts, width), max(limit, 0)))
+    steps = 4 * (small_steps + big_steps)  # a fold step costs about four dot pairs
+    limit = (DOMINANT_MAX_WORK - steps) // small + 1  # keys that pass the ceiling
+    keys = list(islice(_dominant_keys(hall, cuts, d, width), max(limit, 0)))
     if len(keys) >= limit:
         raise CapacityError(
-            f"{product} may take {steps:,} fold steps at 4 each and {len(keys):,} or more keys "
-            f"times up to {small:,} monomials of its smaller fold, "
-            f"{4 * steps + len(keys) * small:,} in all, above the ceiling of {DOMINANT_MAX_WORK:,}"
+            f"{product} may take fold steps weighing {steps:,} and {len(keys):,} or more "
+            f"keys times up to {small:,} monomials of its smaller fold, "
+            f"{steps + len(keys) * small:,} in all, above the ceiling of {DOMINANT_MAX_WORK:,}"
         )
     small_fold = list(_capped_fold(parts[0], width, caps).items())
     get = _capped_fold(parts[1], width, caps).get

@@ -139,6 +139,17 @@ def test_capacity_limits():
         dual_cauchy_reference(10, 10)
 
 
+def test_sparse_boxes_whose_fold_count_reads_high_are_refused():
+    # The count bounds each variable's exponent alone, so on sparse forms it
+    # reads high: the 2-by-15 box of forms x_i + y_t counts 1,486,442 for a
+    # larger fold of 663,552, and (3, 9, 2, 1) counts 1,024,380.  Both are
+    # refused, though their folds fit; a count that also bounded the degree
+    # of sets of variables, as Hall's condition does, would admit them.
+    for args, count in (((2, 15, 1, 1), "1,486,442"), ((3, 9, 2, 1), "1,024,380")):
+        with pytest.raises(CapacityError, match=f"into {count} monomials, above the ceiling"):
+            pjk_expand(*args)
+
+
 def test_the_running_fold_bounds_pjk_expand(monkeypatch):
     # pjk_expand(3, 3, 1, 1)'s larger fold, of six forms x_i + y_t, holds at
     # most 54 monomials, counted as 78 before it is folded

@@ -248,7 +248,7 @@ def test_fold_ceiling(monkeypatch):
             ep_subset(7, 3, p)
     with pytest.raises(CapacityError, match="4,860,434 monomials"):
         boolean_product(8, 3)
-    with pytest.raises(CapacityError, match=r"29,691,931 fold steps at 4 each and 0 or more"):
+    with pytest.raises(CapacityError, match=r"fold steps weighing 118,767,724 and 0 or more"):
         total_boolean(6)
 
 

@@ -16,8 +16,10 @@ import pytest
 
 from boolprod import __version__
 from boolprod.bialphabet import dual_cauchy_reference
+from boolprod.boolean import subset_alphabet
 from boolprod.cli import _pair_label, _render_terms, main
 from boolprod.errors import ConsistencyError
+from boolprod.schur import check_schur_at_capacity
 
 
 def run_cli(capsys, *argv):
@@ -197,8 +199,8 @@ def test_boolean_expand_slice_past_the_fold_ceiling_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert err == (
-        "capacity: a product of 35 forms in 8 variables may take 14,501,432 fold steps at 4 "
-        "each and 430 or more keys times up to 16,302 monomials of its smaller fold, "
+        "capacity: a product of 35 forms in 8 variables may take fold steps weighing "
+        "58,005,728 and 430 or more keys times up to 16,302 monomials of its smaller fold, "
         "65,015,588 in all, above the ceiling of 65,000,000\n"
     )
 
@@ -269,6 +271,22 @@ def test_schur_at_past_its_ceilings_exits_3_before_the_forms_are_built(capsys, m
     assert (code, out, err) == (2, "", "error: need 1 <= k <= n, got k=4, n=3\n")
 
 
+def test_schur_at_past_the_alphabet_ceiling_exits_3(capsys):
+    # s[1] of the (1001,1) alphabet, 1,001 forms times 1,001 monomials, is
+    # within schur-at's own ceilings, and s[-] needs no work, but their forms
+    # are refused at the alphabet's ceiling on coefficients, which (1000,1)
+    # meets exactly
+    check_schur_at_capacity((1,), 1001, 1001)
+    for la in ("1", "-"):
+        code, out, err = run_cli(capsys, "schur-at", "--lambda", la, "--n", "1001", "--k", "1")
+        assert (code, out) == (3, "")
+        assert err == (
+            "capacity: an alphabet of forms in 1,001 variables reaches 1,001,000 coefficients "
+            "at form 1,000, above the ceiling of 1,000,000\n"
+        )
+    assert len(subset_alphabet(1000, 1)) == 1000
+
+
 def test_schur_at_past_its_row_ceiling_exits_3_in_a_fresh_process():
     # a row this long once ran out of stack in the determinant; a fresh
     # process has the default recursion limit the command line meets
@@ -315,12 +333,17 @@ def test_schur_at_past_its_row_ceiling_exits_3_in_a_fresh_process():
         ),
         (
             ["derangement", "--n", "100000"],
-            "100,000 variables reaches 1,100,000 coefficients at form 11",
+            "100,000 variables reaches 10,000,000,000 coefficients at form 100,000",
+        ),
+        # refused before n! is taken, which would not end within the second
+        (
+            ["derangement", "--n", "10000000"],
+            "10,000,000 variables reaches 100,000,000,000,000 coefficients at form 10,000,000",
         ),
     ],
     ids=[
         "total", "boolean-expand", "lascoux", "schur-at", "bialphabet", "slice", "lascoux-n",
-        "derangement",
+        "derangement", "derangement-n",
     ],
 )
 def test_refusals_of_huge_inputs_exit_3(capsys, argv, err):

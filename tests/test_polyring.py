@@ -177,14 +177,15 @@ def test_dominant_keys_meet_the_caps():
     # (7,2): x1 lies in 6 of the 21 pair forms, x1 or x2 in 11, and so on, so
     # 59 of the 436 partitions of 21 in at most 7 parts can occur
     a = Alphabet.from_subsets(7, combinations(range(7), 2))
-    width = len(a).bit_length() + 1
-    keys = list(_dominant_keys(a, block_cuts([(7, None)], 7), width))
+    width, cuts = len(a).bit_length() + 1, block_cuts([(7, None)], 7)
+    keys = list(_dominant_keys(_hall_caps(a, cuts), cuts, len(a), width))
     assert len(partitions_up_to(21, 7)) == 436 and len(keys) == 59
     assert all(key[0][0] <= 6 and sum(key[0][:2]) <= 11 for key, _ in keys)
     # a zero form touches no variable: the one-variable block x1 and the
     # block x2, x3 each meet two of the four forms, so each holds degree 2
     a = Alphabet(3, ((1, 0, 0), (0, 0, 0), (1, 1, 0), (0, 1, 1)))
-    keys = _dominant_keys(a, block_cuts([(1, "t"), (2, None)], 3), 4)
+    cuts = block_cuts([(1, "t"), (2, None)], 3)
+    keys = _dominant_keys(_hall_caps(a, cuts), cuts, len(a), 4)
     assert [key for key, _ in keys] == [((2,), (2,)), ((2,), (1, 1))]
 
 
@@ -214,7 +215,8 @@ def test_dominant_keys_are_the_capped_partitions_of_each_block(data):
         want = [(key + (mu,), top + packed, d + e) for key, top, d in want for mu, packed, e in parts]
         lo += size
     want = {(key, packed) for key, packed, d in want if d == len(forms)}
-    got = list(_dominant_keys(a, block_cuts([(size, None) for size in sizes], n), width))
+    cuts = block_cuts([(size, None) for size in sizes], n)
+    got = list(_dominant_keys(_hall_caps(a, cuts), cuts, len(forms), width))
     assert len(got) == len(set(got)) and set(got) == want
 
 
@@ -236,15 +238,13 @@ def test_packed_fields_hold_a_degree_that_fills_them():
 
 
 def test_a_running_fold_past_the_ceiling_is_refused(monkeypatch):
-    # (x1 + x2)^p holds p + 1 monomials: the third factor takes it past 3.
-    # The alphabets are built first, as they hold more than 3 coefficients.
-    square, fifth = Alphabet(2, ((1, 1),) * 2), Alphabet(2, ((1, 1),) * 5)
+    # (x1 + x2)^p holds p + 1 monomials: the third factor takes it past 3
     monkeypatch.setattr("boolprod.polyring.FOLD_MAX_MONOMIALS", 3)
-    assert alphabet_product(square).terms == {
+    assert alphabet_product(Alphabet(2, ((1, 1),) * 2)).terms == {
         (2, 0): 1, (1, 1): 2, (0, 2): 1
     }
     with pytest.raises(CapacityError, match="4 monomials after 3 factors"):
-        alphabet_product(fifth)
+        alphabet_product(Alphabet(2, ((1, 1),) * 5))
 
 
 def test_poly_product_matches_left_fold():
