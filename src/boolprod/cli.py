@@ -19,9 +19,9 @@ from .boolean import _subset_count, boolean_product, ep_subset, subset_alphabet,
 from .derangements import bnm1_q, frobenius_dimension, specialize_q
 from .errors import CapacityError, ConsistencyError
 from .lascoux import binomial_det, gv_count, lascoux_check
-from .polyring import QPoly
+from .polyring import Alphabet, QPoly
 from .resonance import charpoly_ff, charpoly_mobius
-from .schur import check_schur_at_capacity, schur_at_alphabet
+from .schur import schur_at_alphabet, schur_at_plan
 from .tableaux import format_partition, parse_partition
 
 
@@ -86,9 +86,10 @@ def _cmd_total(args):
 
 
 def _cmd_schur_at(args):
-    # the ceiling needs only the form count, so it runs before the forms are built
-    check_schur_at_capacity(args.la, args.n, _subset_count(args.n, args.k))
-    v = schur_at_alphabet(args.la, subset_alphabet(args.n, args.k))
+    # counted before any form is built; an empty plan, s_la = 1 or 0, needs none
+    plan = schur_at_plan(args.la, args.n, _subset_count(args.n, args.k), args.k)
+    a = subset_alphabet(args.n, args.k) if plan else Alphabet(args.n, ())
+    v = schur_at_alphabet(args.la, a, plan)
     return {"terms": _terms_json(v)}, [_render_terms(v)]
 
 

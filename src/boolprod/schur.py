@@ -35,7 +35,7 @@ from collections import Counter
 from collections.abc import Mapping
 from functools import cache
 from itertools import accumulate, combinations_with_replacement, groupby
-from math import factorial
+from math import comb, factorial
 from operator import ge, itemgetter
 
 from .errors import AsymmetryError, CapacityError, ConsistencyError
@@ -362,96 +362,96 @@ def _m_product(p: Mapping, dp: int, q: Mapping, dq: int, n: int) -> dict:
     }
 
 
-def _poly_det(es: list[dict], base: list[int], n: int) -> dict:
-    """det(e_(base_i + j)), e_p of degree p in n variables given by its m-basis
-    dict es[p] (0 for p < 0 or past es), by Laplace expansion down the rows,
-    memoized on the live column set.  The minor of the rows from i and the
-    columns cols has degree sum(base[i:]) + sum(cols), 0 if that is < 0."""
+def _poly_det(es: list[dict], plan: list, n: int) -> dict:
+    """det(e_(base_i + j)), e_p given by its m-basis dict es[p] in n variables,
+    over schur_at_plan's minors, last first: signed sums of e_p times minors."""
     minors: dict[tuple[int, ...], dict] = {(): {(): 1}}
-
-    def minor(row: int, cols: tuple[int, ...]) -> dict:
-        if cols not in minors:
-            acc: dict[Partition, int] = {}
-            degree = sum(base[row:]) + sum(cols)
-            for pos, col in enumerate(cols):
-                p = base[row] + col
-                if degree >= 0 and 0 <= p < len(es):
-                    rest = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-                    for mu, c in _m_product(es[p], p, rest, degree - p, n).items():
-                        acc[mu] = acc.get(mu, 0) + (-c if pos % 2 else c)
-            minors[cols] = {mu: c for mu, c in acc.items() if c}
-        return minors[cols]
-
-    return minor(0, tuple(range(len(base))))
+    for cols, degree, steps in reversed(plan):
+        acc: dict[Partition, int] = {}
+        for odd, p, rest in steps:
+            for mu, c in _m_product(es[p], p, minors[rest], degree - p, n).items():
+                acc[mu] = acc.get(mu, 0) + (-c if odd else c)
+        minors[cols] = {mu: c for mu, c in acc.items() if c}
+    return minors[plan[0][0]]
 
 
-# Ceilings on schur_at_alphabet, from counts known before any e_p is built.
-# Its determinant has la_1 rows: the self-check's Bareiss elimination takes
-# O(la_1^3) steps and _poly_det recurses once per row, so la_1 is bounded
-# alone.  The forms times the largest e_p it folds, dense, which is e_h for h
-# the hook of la's first cell (at most |A|).  The partitions of |la| in at
-# most n parts, over which its determinant's last products run.  And the
-# determinant's size: la_1 rows, each reading e_p up to p = h, times those
-# partitions.  Measured as three fresh CLI runs each of schur-at on a shared
-# 2-core host whose speed moved by up to 1.5x: --lambda 400 --n 1 --k 1 takes
-# 2.4-2.9 s, and 500 took 5.9-7.3 s; --lambda 16 --n 7 --k 3 (35 forms times
-# C(22,6), 2,611,455; size 41,984) 5.6-6.9 s at 86 MB; --lambda 13,12 --n 5
-# --k 2 (377 partitions; size 49,010) 6.6-7.0 s at 72 MB and --lambda 10,10
-# --n 7 --k 3 (364; 40,040) 4.7-5.2 s at 52 MB.  Past the size ceiling,
-# --lambda 300 --n 2 --k 1 (90,600) took 8.7 s and --lambda 22 --n 6 --k 3
-# (172,040) 20.5 s; below it, no case tried took more than 7.0 s.
-SCHUR_AT_MAX_ROWS = 400
-SCHUR_AT_MAX_WORK = 3_000_000
-SCHUR_AT_MAX_PARTITIONS = 400
-SCHUR_AT_MAX_DET = 50_000
+# Ceiling on schur_at_alphabet's work, counted by schur_at_plan, in units of
+# about 0.2 us of a fresh CLI run on a shared 2-core host: Bareiss takes
+# 40-58 ns per la_1^3, so 1/4 each; a fold step 0.3 us per term of the form,
+# so 5/3, and each exponent of the e_p unpacked into tuples 2; a split pair
+# looked up by a product of the determinant 5 us and a partition walked 40
+# us, so 25 and 200.  Over 40 shapes a unit took 0.12-0.34 us, and 0.09 us at
+# s_(13,12) of (5,2), whose products share splits (runs in BENCH_27.json).
+SCHUR_AT_MAX_WORK = 30_000_000
 
 
-def check_schur_at_capacity(la: Partition, var_count: int, form_count: int) -> None:
-    """Raise CapacityError if s_la of form_count forms in var_count variables
-    passes any ceiling; an empty la, or one with more parts than there are
-    forms, needs no work and passes."""
+def schur_at_plan(la: Partition, var_count: int, form_count: int, form_terms: int) -> list:
+    """The minors (cols, degree, steps) of the dual Jacobi-Trudi determinant
+    det(e_(base_i + j)) of s_la, of form_count forms of at most form_terms
+    terms in var_count variables, that its expansion down the rows reaches:
+    the rows from i and the columns cols, a step (odd, p, rest) per column
+    col at position pos taking e_p, p = base_i + col, odd = pos % 2.  [] for
+    an empty la, or one longer than the forms.  CapacityError once the work
+    passes SCHUR_AT_MAX_WORK, counted before any e_p is built: self-check
+    first, so that a huge la_1 stops at once, then fold, then determinant.
+
+    e_p is 0 outside 0 <= p <= top; base falls and cols rise, so a minor is 0
+    unless each row's diagonal entry lies in its window of nonzero entries.
+    A step is walked only if its own entry does and rest keeps that diagonal:
+    entries past pos are the minor's own; those before move down, below top.
+    """
     if not la or len(la) > form_count:
-        return
-    name = f"s[{format_partition(la)}]"
-    if la[0] > SCHUR_AT_MAX_ROWS:
-        raise CapacityError(
-            f"{name} has a determinant of {la[0]:,} rows, above the ceiling of "
-            f"{SCHUR_AT_MAX_ROWS:,}"
-        )
+        return []
+    work = 0
+
+    def count(units: int, stage: str) -> None:
+        nonlocal work
+        work += units
+        if work > SCHUR_AT_MAX_WORK:
+            raise CapacityError(
+                f"s[{format_partition(la)}] of {figure(form_count)} forms in "
+                f"{figure(var_count)} variables counts {figure(work)} units of work by its "
+                f"{stage}, above the ceiling of {SCHUR_AT_MAX_WORK:,}"
+            )
+
+    count(la[0] ** 3 // 4, "self-check")
     top = min(len(la) + la[0] - 1, form_count)
-    work = form_count * capped_comb(top + var_count - 1, var_count - 1)
-    if work > SCHUR_AT_MAX_WORK:
-        raise CapacityError(
-            f"{name} of {figure(form_count)} forms in {var_count} variables "
-            f"folds e_p up to p = {top}: {figure(form_count)} forms times "
-            f"C({top + var_count - 1},{var_count - 1}) monomials = {figure(work)}, "
-            f"above the ceiling of {SCHUR_AT_MAX_WORK:,}"
-        )
-    # counts[i]: partitions of i in parts of size at most k, as many as in at
-    # most k parts.  They do not decrease with i, and past twice the ceiling
-    # those in two parts alone pass it, so a larger |la| is not counted.
-    size = min(sum(la), 2 * SCHUR_AT_MAX_PARTITIONS)
-    counts = [1] + [0] * size
-    for k in range(1, min(var_count, size) + 1):
-        for i in range(k, size + 1):
-            counts[i] += counts[i - k]
-    if counts[size] > SCHUR_AT_MAX_PARTITIONS:
-        raise CapacityError(
-            f"{name} in {var_count} variables spans more than "
-            f"{SCHUR_AT_MAX_PARTITIONS:,} partitions of {sum(la)} in at most {var_count} "
-            f"parts, the ceiling"
-        )
-    det = la[0] * top * counts[size]
-    if det > SCHUR_AT_MAX_DET:
-        raise CapacityError(
-            f"{name} of {form_count:,} forms in {var_count} variables has a determinant "
-            f"of {la[0]} rows reading e_p up to p = {top}, over {counts[size]} partitions "
-            f"of {sum(la)}: {la[0]} times {top} times {counts[size]} = {det:,}, above "
-            f"the ceiling of {SCHUR_AT_MAX_DET:,}"
-        )
+    for p in range(1, top + 1):
+        # each form from the p-th on meets e_(p-1), dense, a term at a time; e_p is unpacked
+        meets = (form_count - p + 1) * form_terms * capped_comb(p + var_count - 2, var_count - 1)
+        count(5 * meets // 3, "e_p fold")
+        count(2 * var_count * capped_comb(p + var_count - 1, var_count - 1), "e_p fold")
+    # parts[d][j]: partitions of d in at most var_count parts (_m_product's walk
+    # at degree d) with j distinct parts, as conjugates; some: those taking v
+    size, n = sum(la), min(var_count, sum(la))
+    parts = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(size)]
+    for v in range(1, n + 1):
+        some = [[0] * (n + 1) for _ in range(size + 1)]
+        for d in range(v, size + 1):
+            some[d] = [0] + [x + y for x, y in zip(parts[d - v], some[d - v][1:])]
+        parts = [[x + y for x, y in zip(row, more)] for row, more in zip(parts, some)]
+    base = [part - i for i, part in enumerate(conjugate(la))]
+    plan, below = [], {tuple(range(len(base))): None}
+    for row, b in enumerate(base):
+        level, below = below, {}
+        for cols in level:
+            degree, steps = sum(base[row:]) + sum(cols), []
+            for pos, col in enumerate(cols):
+                if 0 <= (p := b + col) <= top:
+                    rest = cols[:pos] + cols[pos + 1 :]
+                    steps.append((pos % 2, p, rest))
+                    below[rest] = None
+                    # split pairs: about the multisets of m of each partition's j distinct parts
+                    m = min(p, degree - p)
+                    pairs = sum(c * comb(j + m - 1, m) for j, c in enumerate(parts[degree]) if j)
+                    count(25 * (pairs + 8 * sum(parts[degree])), "determinant")
+                if row + pos + 1 < len(base) and base[row + pos + 1] + col < 0:
+                    break
+            plan.append((cols, degree, steps))
+    return plan
 
 
-def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
+def schur_at_alphabet(la: Partition, a: Alphabet, plan: list | None = None) -> SchurVector:
     """Schur polynomial of the alphabet's forms, expanded back in the
     Schur basis of the underlying variables.
 
@@ -461,24 +461,22 @@ def schur_at_alphabet(la: Partition, a: Alphabet) -> SchurVector:
     names a form and its image; returns the zero vector when la has more
     parts than the alphabet has forms.  The result must specialise at
     x_i = 2^i like that determinant of the integers f(2, 4, ..., 2^n), or
-    ConsistencyError.
-    Past check_schur_at_capacity, CapacityError is raised before any work.
+    ConsistencyError.  plan is schur_at_plan's, taken here if not given: past
+    its work ceiling, CapacityError is raised before any e_p is built.
     """
     n = a.var_count
-    check_schur_at_capacity(la, n, len(a.forms))
-    if not la:
-        return SchurVector(n, {(): 1})
-    if len(la) > len(a.forms):
-        return SchurVector(n)
+    terms = max((len(f) - f.count(0) for f in a.forms), default=0)
+    plan = schur_at_plan(la, n, len(a.forms), terms) if plan is None else plan
+    if not plan:
+        return SchurVector(n, {} if la else {(): 1})
     cuts = [(0, n, None)]
     _check_symmetric(Counter(a.forms), cuts, forms=True)
-    laconj = conjugate(la)
-    base = [part - i for i, part in enumerate(laconj)]
+    base = [part - i for i, part in enumerate(conjugate(la))]
     es = [
         {mu: c for (mu,), c in _pick_dominant(e.terms, cuts).items()}
-        for e in graded_elementary(a, cap=laconj[0] - 1 + len(base))
+        for e in graded_elementary(a, cap=len(la) + la[0] - 1)
     ]
-    out = m_to_schur(MVector(n, _poly_det(es, base, n)))
+    out = m_to_schur(MVector(n, _poly_det(es, plan, n)))
     ints = [1] + [0] * (len(es) - 1)
     for f in a.forms:
         v = sum(c << i for i, c in enumerate(f, 1))

@@ -19,7 +19,7 @@ from boolprod.bialphabet import dual_cauchy_reference
 from boolprod.boolean import subset_alphabet
 from boolprod.cli import _pair_label, _render_terms, main
 from boolprod.errors import ConsistencyError
-from boolprod.schur import check_schur_at_capacity
+from boolprod.schur import schur_at_plan
 
 
 def run_cli(capsys, *argv):
@@ -254,37 +254,44 @@ def test_schur_at_past_its_ceilings_exits_3_before_the_forms_are_built(capsys, m
     code, out, err = run_cli(capsys, "schur-at", "--lambda", "17", "--n", "7", "--k", "3")
     assert (code, out) == (3, "")
     assert err == (
-        "capacity: s[17] of 35 forms in 7 variables folds e_p up to p = 17: 35 forms "
-        "times C(23,6) monomials = 3,533,145, above the ceiling of 3,000,000\n"
+        "capacity: s[17] of 35 forms in 7 variables counts 30,588,155 units of work by "
+        "its e_p fold, above the ceiling of 30,000,000\n"
     )
     code, out, err = run_cli(capsys, "schur-at", "--lambda", "11,10", "--n", "7", "--k", "3")
     assert (code, out) == (3, "")
     assert err == (
-        "capacity: s[11,10] in 7 variables spans more than 400 partitions of 21 in at "
-        "most 7 parts, the ceiling\n"
+        "capacity: s[11,10] of 35 forms in 7 variables counts 30,207,245 units of work by "
+        "its determinant, above the ceiling of 30,000,000\n"
     )
     # C(20,10) = 184,756 forms, never built
     code, out, err = run_cli(capsys, "schur-at", "--lambda", "2,1", "--n", "20", "--k", "10")
-    assert (code, out) == (3, "") and "184,756 forms times C(22,19)" in err
+    assert (code, out) == (3, "") and "of 184,756 forms in 20 variables" in err
     # an invalid k is still a usage error, and no work is bounded
     code, out, err = run_cli(capsys, "schur-at", "--lambda", "2,1", "--n", "3", "--k", "4")
     assert (code, out, err) == (2, "", "error: need 1 <= k <= n, got k=4, n=3\n")
 
 
-def test_schur_at_past_the_alphabet_ceiling_exits_3(capsys):
+def test_schur_at_past_the_alphabet_ceiling_exits_3(capsys, monkeypatch):
     # s[1] of the (1001,1) alphabet, 1,001 forms times 1,001 monomials, is
-    # within schur-at's own ceilings, and s[-] needs no work, but their forms
-    # are refused at the alphabet's ceiling on coefficients, which (1000,1)
-    # meets exactly
-    check_schur_at_capacity((1,), 1001, 1001)
-    for la in ("1", "-"):
-        code, out, err = run_cli(capsys, "schur-at", "--lambda", la, "--n", "1001", "--k", "1")
-        assert (code, out) == (3, "")
-        assert err == (
-            "capacity: an alphabet of forms in 1,001 variables reaches 1,001,000 coefficients "
-            "at form 1,000, above the ceiling of 1,000,000\n"
-        )
+    # within schur-at's own ceiling, but its forms are refused at the
+    # alphabet's ceiling on coefficients, which (1000,1) meets exactly
+    assert schur_at_plan((1,), 1001, 1001, 1)
+    code, out, err = run_cli(capsys, "schur-at", "--lambda", "1", "--n", "1001", "--k", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "capacity: an alphabet of forms in 1,001 variables reaches 1,001,000 coefficients "
+        "at form 1,000, above the ceiling of 1,000,000\n"
+    )
     assert len(subset_alphabet(1000, 1)) == 1000
+    # s_la is 1 for the empty la, and 0 for one with more parts than there
+    # are forms, with no form built
+    def unreachable(n, k):
+        raise AssertionError("the forms were built for no work")
+
+    monkeypatch.setattr("boolprod.cli.subset_alphabet", unreachable)
+    for (la, n, k), want in ((("-", "1001", "1"), "s[-]\n"), (("1,1,1", "22", "22"), "0\n")):
+        code, out, err = run_cli(capsys, "schur-at", "--lambda", la, "--n", n, "--k", k)
+        assert (code, out, err) == (0, want, "")
 
 
 def test_schur_at_past_its_row_ceiling_exits_3_in_a_fresh_process():
@@ -297,7 +304,8 @@ def test_schur_at_past_its_row_ceiling_exits_3_in_a_fresh_process():
     )
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
-        "capacity: s[1200] has a determinant of 1,200 rows, above the ceiling of 400\n"
+        "capacity: s[1200] of 1 forms in 1 variables counts 432,000,000 units of work by "
+        "its self-check, above the ceiling of 30,000,000\n"
     )
 
 
@@ -315,7 +323,18 @@ def test_schur_at_past_its_row_ceiling_exits_3_in_a_fresh_process():
         ),
         (
             ["schur-at", "--lambda", "1", "--n", "20000", "--k", "10000"],
-            "s[1] of more than 10^30 forms in 20000 variables folds e_p up to p = 1",
+            "s[1] of more than 10^30 forms in 20,000 variables counts more than 10^30 units "
+            "of work by its e_p fold",
+        ),
+        # a huge first row stops at the self-check, before any minor is walked
+        (
+            ["schur-at", "--lambda", "1000000000,1000000000", "--n", "2", "--k", "1"],
+            "counts 250,000,000,000,000,000,000,000,000 units of work by its self-check",
+        ),
+        # about 14 s of work, refused on its determinant's count
+        (
+            ["schur-at", "--lambda", "14,13", "--n", "5", "--k", "2"],
+            "counts 30,297,038 units of work by its determinant",
         ),
         (
             ["bialphabet", "--n", "20000", "--m", "1", "--j", "10000", "--k", "1"],
@@ -342,17 +361,20 @@ def test_schur_at_past_its_row_ceiling_exits_3_in_a_fresh_process():
         ),
     ],
     ids=[
-        "total", "boolean-expand", "lascoux", "schur-at", "bialphabet", "slice", "lascoux-n",
-        "derangement", "derangement-n",
+        "total", "boolean-expand", "lascoux", "schur-at", "schur-at-row", "schur-at-work",
+        "bialphabet", "slice", "lascoux-n", "derangement", "derangement-n",
     ],
 )
-def test_refusals_of_huge_inputs_exit_3(capsys, argv, err):
+def test_refusals_of_huge_inputs_exit_3(argv, err):
     # some of these counts pass Python's 4,300-digit limit for printing an
-    # int; each refusal comes within a second, and no count past 10^30 is
-    # printed as if it were exact
+    # int; each refusal comes within a second as a fresh process, and no
+    # count past 10^30 is printed as if it were exact
     start = time.perf_counter()
-    code, out, got = run_cli(capsys, *argv)
+    done = subprocess.run(
+        [sys.executable, "-m", "boolprod", *argv], capture_output=True, text=True
+    )
     assert time.perf_counter() - start < 1
+    code, out, got = done.returncode, done.stdout, done.stderr
     assert (code, out) == (3, "")
     assert got.startswith("capacity: ") and err in got
     assert all(int(x.replace(",", "")) <= 10**30 for x in re.findall(r"\d[\d,]*", got))

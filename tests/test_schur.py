@@ -1,6 +1,6 @@
 from collections import Counter
 from itertools import permutations, product
-from math import prod
+from math import comb, prod
 from operator import sub
 
 import pytest
@@ -21,9 +21,9 @@ from boolprod.schur import (
     _shape,
     _splits,
     check_principal,
-    check_schur_at_capacity,
     m_to_schur,
     schur_at_alphabet,
+    schur_at_plan,
     schur_from_dominant,
     schur_of_graded_product,
     schur_of_product,
@@ -453,54 +453,86 @@ def test_splits_by_part_multiplicity_match_the_composition_walk():
 
 
 def test_schur_at_ceilings_sit_at_the_measured_limits():
-    # the largest fold allowed at (7,3), 35 forms times C(22,6), and one past it
-    check_schur_at_capacity((16,), 7, 35)
-    with pytest.raises(CapacityError, match="= 3,533,145, above"):
-        check_schur_at_capacity((17,), 7, 35)
-    # 364 partitions of 20 in at most 7 parts, 436 of 21; 377 of 25 in at
-    # most 5, 427 of 26
-    for la, n, forms in (((10, 10), 7, 35), ((13, 12), 5, 10)):
-        check_schur_at_capacity(la, n, forms)
-        with pytest.raises(CapacityError, match="more than 400 partitions"):
-            check_schur_at_capacity((la[0] + 1,) + la[1:], n, forms)
-    # in two variables, a size this large is refused without counting its
-    # partitions
-    with pytest.raises(CapacityError, match="of 1200 in at most 2"):
-        check_schur_at_capacity((400, 400, 400), 2, 3)
+    # s_(3^7) of the (7,3) alphabet, once refused for the 436 partitions of 21
+    # in at most 7 parts, runs in about 1.4 s, and s_(16) in about 5 s;
+    # s_(14,13) of the (5,2) one, about 14 s, is refused on its determinant
+    assert schur_at_plan((3,) * 7, 7, 35, 3) and schur_at_plan((16,), 7, 35, 3)
+    with pytest.raises(CapacityError) as refused:
+        schur_at_plan((14, 13), 5, 10, 2)
+    assert str(refused.value) == (
+        "s[14,13] of 10 forms in 5 variables counts 30,297,038 units of work by its "
+        "determinant, above the ceiling of 30,000,000"
+    )
+    # C(20,10) forms of ten terms fold past it by e_3, and (300,299)'s forms
+    # of 299 terms by e_2
+    with pytest.raises(CapacityError, match="counts 64,665,068 units of work by its e_p fold"):
+        schur_at_plan((2, 1), 20, 184_756, 10)
+    with pytest.raises(CapacityError, match="counts 45,030,000 units of work by its e_p fold"):
+        schur_at_plan((1, 1), 300, 300, 299)
+    # in two variables, a size this large is refused at its first minors
+    with pytest.raises(CapacityError, match="by its determinant"):
+        schur_at_plan((400, 400, 400), 2, 3, 1)
     # an empty shape, or one longer than the alphabet, is read off with no work
-    check_schur_at_capacity((), 50, 10**9)
-    check_schur_at_capacity((1,) * 5, 50, 4)
+    assert schur_at_plan((), 50, 10**9, 25) == []
+    assert schur_at_plan((1,) * 5, 50, 4, 25) == []
+
+
+def test_schur_at_counts_the_partitions_its_products_walk(monkeypatch):
+    # for each _m_product call the determinant counts 200 for each partition
+    # mu it walks and 25 for each multiset of m of mu's distinct parts, m the
+    # smaller factor's degree, about mu's split pairs; before it, la_1^3 / 4
+    # for the self-check, 5/3 for each step of the e_p fold, dense, a term of
+    # a form at a time, and 2 for each exponent of e_p unpacked.  The
+    # ceiling admits that total exactly and refuses it one lower.  No step
+    # the plan walks meets a zero minor, which would walk no partition, and
+    # the multisets stay within a factor 2 of the split pairs looked up.
+    calls = []
+    honest = schur._m_product
+
+    def walking(p, dp, q, dq, n):
+        assert p and q
+        calls.append((partitions_up_to(dp + dq, n), dp, min(dp, dq)))
+        return honest(p, dp, q, dq, n)
+
+    monkeypatch.setattr(schur, "_m_product", walking)
+    cases = (((2, 1), 3, 2), ((3, 1), 4, 2), ((2, 2, 1), 4, 2), ((3, 3), 5, 2), ((4, 2, 1), 5, 3))
+    for la, n, k in cases:
+        a, calls[:] = subset_alphabet(n, k), []
+        monkeypatch.setattr(schur, "SCHUR_AT_MAX_WORK", 10**9)
+        schur_at_alphabet(la, a)
+        multisets = sum(comb(len(set(mu)) + m - 1, m) for mus, _, m in calls for mu in mus if mu)
+        pairs = sum(len(_splits(mu, dp)) for mus, dp, _ in calls for mu in mus)
+        assert pairs / 2 <= multisets <= 2 * pairs, la
+        forms, top = len(a.forms), min(len(la) + la[0] - 1, len(a.forms))
+        fold = sum(5 * (forms - p + 1) * k * comb(p + n - 2, n - 1) // 3 for p in range(1, top + 1))
+        fold += sum(2 * n * comb(p + n - 1, n - 1) for p in range(1, top + 1))
+        walked = sum(len(mus) for mus, _, _ in calls)
+        total = la[0] ** 3 // 4 + fold + 25 * multisets + 200 * walked
+        monkeypatch.setattr(schur, "SCHUR_AT_MAX_WORK", total)
+        assert schur_at_plan(la, n, forms, k)
+        monkeypatch.setattr(schur, "SCHUR_AT_MAX_WORK", total - 1)
+        with pytest.raises(CapacityError, match=f"counts {total:,} units of work by its det"):
+            schur_at_plan(la, n, forms, k)
 
 
 def test_schur_at_refuses_long_first_rows_and_large_determinants():
-    # one variable holds one partition of any size, so only la_1, the
-    # determinant's order, bounds it
-    check_schur_at_capacity((400,), 1, 1)
-    with pytest.raises(CapacityError, match=r"^s\[401\] has a determinant of 401 rows, above"):
-        check_schur_at_capacity((401,), 1, 1)
-    with pytest.raises(CapacityError, match="of 1,000,000,000 rows"):
-        check_schur_at_capacity((10**9, 10**9), 2, 2)
-    # la_1 rows times the e_p read, up to p = h, times the partitions of |la|:
-    # 223 * 2 * 112 = 49,952 and 224 * 2 * 113 = 50,624
-    check_schur_at_capacity((223,), 2, 2)
+    # one variable holds one partition of any size, so the self-check's
+    # la_1^3 / 4 bounds it: 492 is the longest row admitted
+    assert schur_at_plan((492,), 1, 1, 1)
     with pytest.raises(CapacityError) as refused:
-        check_schur_at_capacity((224,), 2, 2)
+        schur_at_plan((493,), 1, 1, 1)
     assert str(refused.value) == (
-        "s[224] of 2 forms in 2 variables has a determinant of 224 rows reading e_p up "
-        "to p = 2, over 113 partitions of 224: 224 times 2 times 113 = 50,624, above "
-        "the ceiling of 50,000"
+        "s[493] of 1 forms in 1 variables counts 30,000,117 units of work by its "
+        "determinant, above the ceiling of 30,000,000"
     )
-    # the largest allowed cases above sit below it: 13 * 10 * 377 = 49,010,
-    # 10 * 11 * 364 = 40,040 and 16 * 16 * 164 = 41,984
-    check_schur_at_capacity((13, 12), 5, 10)
-    check_schur_at_capacity((10, 10), 7, 35)
-    check_schur_at_capacity((16,), 7, 35)
-    with pytest.raises(CapacityError, match="= 94,250, above the ceiling of 50,000"):
-        check_schur_at_capacity((25,), 5, 10)
-    # the determinant of the longest row allowed recurses once per row, well
-    # inside the recursion limit: s_(400) of the one form x_1 is x_1^400
-    base = [1 - i for i in range(400)]
-    assert schur._poly_det([{(): 1}, {(1,): 1}], base, 1) == {(400,): 1}
+    # a huge first row stops at the self-check, before any minor is walked
+    with pytest.raises(CapacityError, match="by its self-check"):
+        schur_at_plan((10**9, 10**9), 2, 2, 2)
+    # the determinant of the longest row admitted, which once recursed once
+    # per row, walks its minors in a loop: s_(492) of the one form x_1 is
+    # x_1^492
+    plan = schur_at_plan((492,), 1, 1, 1)
+    assert schur._poly_det([{(): 1}, {(1,): 1}], plan, 1) == {(492,): 1}
 
 
 def dense_schur_at(la, a):
